@@ -67,7 +67,7 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "dumbbell")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "dumbbell")) return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

@@ -68,7 +68,8 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "exhaustive_roundrobin")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "exhaustive_roundrobin"))
+    return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

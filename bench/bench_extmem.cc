@@ -7,7 +7,7 @@
 //                     [--metrics=PATH] [--audit=PATH] [--trace...]
 // Machine-readable results go to BENCH_extmem.json by default (schema
 // documented on bench::Reporter); --no-json disables the file. All
-// shared flags are parsed by bench::ParseBenchFlags.
+// flags are parsed by bench::ParseBenchFlags.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,10 +37,10 @@ std::vector<storage::Tuple> RandomRows(TupleCount n) {
   return rows;
 }
 
-void BenchScan(bench::Reporter* reporter, TupleCount n, int reps) {
+void BenchScan(TupleCount n, int reps) {
   extmem::Device dev(1024, 64);
   const storage::Relation rel = workload::Matching(&dev, 0, 1, n);
-  reporter->Measure("scan", &dev, n, reps, [&]() -> std::uint64_t {
+  bench::Measure(&dev, "scan", n, reps, [&]() -> std::uint64_t {
     extmem::FileReader reader(rel.range());
     Value sum = 0;
     TupleCount count = 0;
@@ -56,33 +56,33 @@ void BenchScan(bench::Reporter* reporter, TupleCount n, int reps) {
   });
 }
 
-void BenchSort(bench::Reporter* reporter, TupleCount n, int reps) {
+void BenchSort(TupleCount n, int reps) {
   extmem::Device dev(1024, 64);
   const storage::Relation rel = storage::Relation::FromTuples(
       &dev, storage::Schema({0, 1}), RandomRows(n));
   const std::uint32_t key[1] = {0};
-  reporter->Measure("sort", &dev, n, reps, [&]() -> std::uint64_t {
+  bench::Measure(&dev, "sort", n, reps, [&]() -> std::uint64_t {
     extmem::FilePtr sorted = extmem::ExternalSort(rel.range(), key);
     return sorted->size();
   });
 }
 
-void BenchSemiJoin(bench::Reporter* reporter, TupleCount n, int reps) {
+void BenchSemiJoin(TupleCount n, int reps) {
   extmem::Device dev(1024, 64);
   const storage::Relation rel = workload::ManyToOne(&dev, 0, 1, n, n / 4);
   const storage::Relation filter = workload::Matching(&dev, 1, 2, n / 2);
-  reporter->Measure("semijoin", &dev, n, reps, [&]() -> std::uint64_t {
+  bench::Measure(&dev, "semijoin", n, reps, [&]() -> std::uint64_t {
     return core::SemiJoin(rel, filter, 1).size();
   });
 }
 
-void BenchFullReduceL5(bench::Reporter* reporter, TupleCount n, int reps) {
+void BenchFullReduceL5(TupleCount n, int reps) {
   extmem::Device dev(1024, 64);
   std::vector<storage::Relation> rels;
   for (std::uint32_t i = 0; i < 5; ++i) {
     rels.push_back(workload::ManyToOne(&dev, i, i + 1, n, n / 2));
   }
-  reporter->Measure("full_reduce_l5", &dev, n, reps, [&]() -> std::uint64_t {
+  bench::Measure(&dev, "full_reduce_l5", n, reps, [&]() -> std::uint64_t {
     const std::vector<storage::Relation> reduced = core::FullyReduce(rels);
     std::uint64_t total = 0;
     for (const storage::Relation& r : reduced) total += r.size();
@@ -90,14 +90,8 @@ void BenchFullReduceL5(bench::Reporter* reporter, TupleCount n, int reps) {
   });
 }
 
-int Run(int argc, char** argv) {
-  // --json/--reps/--metrics/--trace are stripped by ParseBenchFlags;
-  // anything left is an error.
-  for (int i = 1; i < argc; ++i) {
-    std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-    return 2;
-  }
-  const int reps = bench::GlobalBenchConfig().reps;
+int Run() {
+  const int reps = bench::GlobalBench().reps;
 
   bench::Banner("E13: substrate microbenchmarks",
                 "Wall-clock and I/O cost of the external-memory substrate's "
@@ -105,17 +99,16 @@ int Run(int argc, char** argv) {
                 "I/O counts follow the Aggarwal-Vitter model exactly; wall "
                 "clock tracks the block-batched implementation.");
 
-  bench::Reporter& reporter = bench::GlobalReporter();
-  BenchScan(&reporter, TupleCount{1} << 18, reps);
-  BenchScan(&reporter, TupleCount{1} << 20, reps);
-  BenchSort(&reporter, TupleCount{1} << 12, reps);
-  BenchSort(&reporter, TupleCount{1} << 15, reps);
-  BenchSort(&reporter, TupleCount{1} << 18, reps);
-  BenchSemiJoin(&reporter, TupleCount{1} << 15, reps);
-  BenchSemiJoin(&reporter, TupleCount{1} << 18, reps);
-  BenchFullReduceL5(&reporter, TupleCount{1} << 12, reps);
-  BenchFullReduceL5(&reporter, TupleCount{1} << 15, reps);
-  reporter.PrintTable();
+  BenchScan(TupleCount{1} << 18, reps);
+  BenchScan(TupleCount{1} << 20, reps);
+  BenchSort(TupleCount{1} << 12, reps);
+  BenchSort(TupleCount{1} << 15, reps);
+  BenchSort(TupleCount{1} << 18, reps);
+  BenchSemiJoin(TupleCount{1} << 15, reps);
+  BenchSemiJoin(TupleCount{1} << 18, reps);
+  BenchFullReduceL5(TupleCount{1} << 12, reps);
+  BenchFullReduceL5(TupleCount{1} << 15, reps);
+  bench::GlobalBench().reporter.PrintTable();
   return bench::FinishBench();
 }
 
@@ -123,9 +116,9 @@ int Run(int argc, char** argv) {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "extmem",
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "extmem",
                                       /*default_reps=*/3)) {
     return 2;
   }
-  return emjoin::Run(argc, argv);
+  return emjoin::Run();
 }

@@ -73,7 +73,7 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "gens_families")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "gens_families")) return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

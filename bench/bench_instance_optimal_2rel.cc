@@ -84,7 +84,8 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "instance_optimal_2rel")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "instance_optimal_2rel"))
+    return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

@@ -83,7 +83,7 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "line5_unbalanced")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "line5_unbalanced")) return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

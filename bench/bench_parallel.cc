@@ -25,6 +25,7 @@
 
 #include "bench/bench_util.h"
 #include "core/dispatch.h"
+#include "parallel/parallel_join.h"
 #include "query/hypergraph.h"
 #include "workload/random_instance.h"
 
@@ -80,16 +81,19 @@ int Run() {
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
     extmem::Device dev(kM, kB);
     const auto rels = BuildInstance(&dev);
-    bench::AttachObservers(&dev);
+    obs::FrontEnd& observers = bench::GlobalBench().observers;
+    observers.Attach(&dev);
 
     parallel::ParallelOptions options;
     options.shards = kShards;
     options.workers = workers;
     core::CountingSink sink;
+    const metrics::DeviceSnapshot before = metrics::Snapshot(dev);
     const std::uint64_t t0 = bench::NowNs();
-    const auto result =
-        parallel::TryParallelJoinAuto(rels, sink.AsEmitFn(), options);
+    const auto result = parallel::TryParallelJoinAuto(
+        rels, sink.AsEmitFn(), options, observers.registry());
     const std::uint64_t elapsed = bench::NowNs() - t0;
+    observers.Collect(dev, before);
     if (!result.ok()) std::abort();  // fault-free: cannot fail
     const parallel::ParallelJoinReport& report = *result;
 
@@ -107,7 +111,7 @@ int Run() {
         rec.peak_mem = report.per_shard[s].peak_resident;
       }
     }
-    bench::GlobalReporter().Add(rec);
+    bench::GlobalBench().reporter.Add(rec);
 
     critical_path = report.partition_io.total() + report.max_shard_ios;
     table.AddRow({rec.bench, bench::U(workers),
@@ -127,7 +131,7 @@ int Run() {
   speedup.n = n;
   speedup.ios = speedup_x100;
   speedup.wall_ns = 1;  // no wall claim on this synthetic record
-  bench::GlobalReporter().Add(speedup);
+  bench::GlobalBench().reporter.Add(speedup);
 
   std::printf("\nI/O critical path: serial %llu vs sharded %llu "
               "=> speedup %.2fx (claim: >= 2x)\n",
@@ -146,7 +150,7 @@ int Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "parallel")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "parallel")) return 2;
   const int rc = emjoin::Run();
   const int finish_rc = emjoin::bench::FinishBench();
   return rc != 0 ? rc : finish_rc;

@@ -59,7 +59,8 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "table1_equal_size")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "table1_equal_size"))
+    return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

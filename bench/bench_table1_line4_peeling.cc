@@ -162,7 +162,8 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "table1_line4_peeling")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "table1_line4_peeling"))
+    return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

@@ -55,7 +55,7 @@ void Run() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "table1_star")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "table1_star")) return 2;
   emjoin::Run();
   return emjoin::bench::FinishBench();
 }

@@ -71,7 +71,8 @@ void RunInstanceOptimal() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "table1_two_relations")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "table1_two_relations"))
+    return 2;
   emjoin::RunWorstCase();
   emjoin::RunInstanceOptimal();
   return emjoin::bench::FinishBench();

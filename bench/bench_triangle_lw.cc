@@ -127,7 +127,7 @@ void RunLw() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "triangle_lw")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "triangle_lw")) return 2;
   emjoin::RunTriangle();
   emjoin::RunLw();
   return emjoin::bench::FinishBench();

@@ -1,6 +1,7 @@
 #ifndef EMJOIN_BENCH_BENCH_UTIL_H_
 #define EMJOIN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -14,133 +15,17 @@
 
 #include "core/emit.h"
 #include "extmem/device.h"
-#include "extmem/fault_injector.h"
 #include "gens/psi.h"
 #include "metrics/collect.h"
-#include "metrics/obs.h"
-#include "obs/runtime.h"
-#include "parallel/parallel_join.h"
-#include "trace/sinks.h"
+#include "obs/front_end.h"
 #include "trace/tracer.h"
 
 namespace emjoin::bench {
-
-/// Process-wide tracing configuration, filled in by ParseTraceFlags.
-/// `enabled` is false unless the user passed a --trace flag, so benches
-/// run with tracing fully detached (Device::tracer() == nullptr) by
-/// default and keep their untraced wall clock.
-struct TraceConfig {
-  bool enabled = false;
-  std::string path;              // empty: tree report to stdout
-  std::string format = "tree";   // tree | jsonl | chrome
-};
-
-inline TraceConfig& GlobalTraceConfig() {
-  static TraceConfig config;
-  return config;
-}
-
-inline trace::Tracer& GlobalTracer() {
-  static trace::Tracer tracer;
-  return tracer;
-}
-
-/// Strips `--trace[=PATH]` and `--trace-format={tree,jsonl,chrome}` from
-/// argv (compacting it in place and shrinking *argc) so bench-specific
-/// flag parsing never sees them. Returns false — after printing a
-/// diagnostic to stderr — on an unknown trace format or a file-backed
-/// format without a path; callers should exit nonzero.
-inline bool ParseTraceFlags(int* argc, char** argv) {
-  TraceConfig& config = GlobalTraceConfig();
-  bool ok = true;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--trace") {
-      config.enabled = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      config.enabled = true;
-      config.path = std::string(arg.substr(8));
-    } else if (arg.rfind("--trace-format=", 0) == 0) {
-      config.enabled = true;
-      config.format = std::string(arg.substr(15));
-      if (config.format != "tree" && config.format != "jsonl" &&
-          config.format != "chrome") {
-        std::fprintf(stderr,
-                     "unknown trace format '%s' (expected tree, jsonl, or "
-                     "chrome)\n",
-                     config.format.c_str());
-        ok = false;
-      }
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  if (ok && config.enabled && config.format != "tree" &&
-      config.path.empty()) {
-    std::fprintf(stderr, "--trace-format=%s requires --trace=PATH\n",
-                 config.format.c_str());
-    ok = false;
-  }
-  return ok;
-}
-
-/// Attaches the global tracer to `dev` iff tracing was requested.
-inline void AttachTracer(extmem::Device* dev) {
-  if (GlobalTraceConfig().enabled) dev->set_tracer(&GlobalTracer());
-}
-
-/// Attaches every requested observer (tracer, metrics registry, live
-/// telemetry). All observer-only: zero charged I/Os either way.
-inline void AttachObservers(extmem::Device* dev) {
-  AttachTracer(dev);
-  metrics::AttachMetrics(dev);
-  obs::AttachTelemetry(dev);
-}
 
 /// Interns a dynamic span name (SpanRecord stores a borrowed pointer).
 inline const char* InternSpanName(const std::string& name) {
   static std::set<std::string> names;
   return names.insert(name).first->c_str();
-}
-
-/// Flushes the collected trace to the configured sink. Call at the end
-/// of main and return the result as the exit code: 0 on success or when
-/// tracing is disabled, 1 when the output file cannot be written.
-inline int FinishTrace() {
-  const TraceConfig& config = GlobalTraceConfig();
-  if (!config.enabled) return 0;
-  const trace::Tracer& tracer = GlobalTracer();
-  bool ok = true;
-  if (config.format == "jsonl") {
-    ok = trace::WriteJsonl(tracer, config.path);
-  } else if (config.format == "chrome") {
-    ok = trace::WriteChromeTrace(tracer, config.path);
-  } else {
-    const std::string report = trace::TreeReport(tracer);
-    if (config.path.empty()) {
-      std::fputs(report.c_str(), stdout);
-    } else {
-      std::FILE* f = std::fopen(config.path.c_str(), "w");
-      ok = f != nullptr;
-      if (ok) {
-        std::fputs(report.c_str(), f);
-        std::fclose(f);
-      }
-    }
-  }
-  if (!ok) {
-    std::fprintf(stderr, "failed to write trace to %s\n",
-                 config.path.c_str());
-    return 1;
-  }
-  if (!config.path.empty()) {
-    std::fprintf(stderr, "trace: %zu spans (%s) -> %s\n",
-                 tracer.spans().size(), config.format.c_str(),
-                 config.path.c_str());
-  }
-  return 0;
 }
 
 /// Fixed-width table printer for experiment output.
@@ -251,49 +136,6 @@ class Reporter {
 
   void Add(Record r) { records_.push_back(std::move(r)); }
 
-  /// Times `fn` `reps` times and records the best wall clock. `fn`
-  /// returns the number of result tuples; I/Os are diffed off `dev`
-  /// for the first repetition (reruns charge identically).
-  void Measure(const std::string& bench, extmem::Device* dev, std::uint64_t n,
-               int reps, const std::function<std::uint64_t()>& fn) {
-    AttachObservers(dev);
-    Record rec;
-    rec.bench = bench;
-    rec.m = dev->M();
-    rec.b = dev->B();
-    rec.n = n;
-    rec.wall_ns = ~std::uint64_t{0};
-    for (int i = 0; i < reps; ++i) {
-      const extmem::IoStats before = dev->stats();
-      const auto tags_before = dev->per_tag();
-      const std::uint64_t t0 = NowNs();
-      std::uint64_t results = 0;
-      {
-        trace::Span span(dev, InternSpanName(bench));
-        results = fn();
-      }
-      const std::uint64_t elapsed = NowNs() - t0;
-      if (elapsed < rec.wall_ns) rec.wall_ns = elapsed;
-      if (i == 0) {
-        rec.ios = (dev->stats() - before).total();
-        rec.results = results;
-        rec.peak_mem = dev->gauge().high_water();
-        for (const auto& [tag, after] : dev->per_tag()) {
-          extmem::IoStats delta = after;
-          if (const auto it = tags_before.find(tag);
-              it != tags_before.end()) {
-            delta = after - it->second;
-          }
-          if (delta.total() > 0) rec.tags[tag] = delta;
-        }
-        if (metrics::Registry* reg = dev->metrics()) {
-          metrics::CollectDeviceDelta(*dev, before, tags_before, reg);
-        }
-      }
-    }
-    Add(std::move(rec));
-  }
-
   void PrintTable() const {
     Table table({"bench", "M", "B", "n", "ios", "wall_ms", "Mtuples/s",
                  "results", "peak_mem"});
@@ -354,258 +196,135 @@ class Reporter {
   std::vector<Record> records_;
 };
 
-/// Every bench's records funnel into one reporter so FinishBench can
-/// write the whole run as BENCH_<name>.json for the regression gate.
-inline Reporter& GlobalReporter() {
-  static Reporter reporter;
-  return reporter;
-}
-
-/// Sharded-execution knobs, filled in by ParseBenchFlags from
-/// --shards=K / --workers=W. Every bench strips (and thus accepts) the
-/// flags; only benches that route joins through RunJoinAutoSharded —
-/// bench_parallel today — act on them, the rest measure the serial
-/// operators regardless.
-struct ShardConfig {
-  std::uint32_t shards = 1;
-  std::uint32_t workers = 1;
+/// One bench process's state: its output flags, its records (written
+/// as BENCH_<name>.json for the regression gate) and its observers.
+struct BenchRun {
+  std::string name;        // e.g. "table1_line3"
+  bool write_json = true;  // --no-json disables
+  std::string json_path;   // default BENCH_<name>.json
+  int reps = 1;            // --reps=K for wall-clock best-of-K
+  Reporter reporter;
+  obs::FrontEnd observers;
 };
 
-inline ShardConfig& GlobalShardConfig() {
-  static ShardConfig config;
-  return config;
+inline BenchRun& GlobalBench() {
+  static BenchRun run;
+  return run;
 }
 
-/// Runs the auto-dispatched join under GlobalShardConfig (serial when
-/// shards == 1), merging shard metrics into the global registry when
-/// --metrics is active. Benches are fault-free, so a non-ok status is a
-/// harness bug: it aborts loudly rather than skewing the numbers.
-inline parallel::ParallelJoinReport RunJoinAutoSharded(
-    const std::vector<storage::Relation>& rels, const core::EmitFn& emit) {
-  parallel::ParallelOptions options;
-  options.shards = GlobalShardConfig().shards;
-  options.workers = GlobalShardConfig().workers;
-  metrics::Registry* merged = metrics::MetricsCollectionEnabled()
-                                  ? &metrics::GlobalMetricsRegistry()
-                                  : nullptr;
-  auto result = parallel::TryParallelJoinAuto(rels, emit, options, merged);
-  if (!result.ok()) {
-    std::fprintf(stderr, "sharded join failed: %s\n",
-                 result.status().ToString().c_str());
-    std::abort();
-  }
-  return *std::move(result);
-}
-
-/// Per-bench run configuration, filled in by ParseBenchFlags.
-struct BenchConfig {
-  std::string name;       // e.g. "table1_line3"
-  bool write_json = true; // --no-json disables
-  std::string json_path;  // default BENCH_<name>.json
-  int reps = 1;           // --reps=K for wall-clock best-of-K
-};
-
-inline BenchConfig& GlobalBenchConfig() {
-  static BenchConfig config;
-  return config;
-}
-
-/// One-stop flag parsing for bench mains: strips trace flags
-/// (--trace[=PATH], --trace-format=...), observability flags
-/// (--metrics=PATH, --metrics-format=..., --audit=PATH), the sharding
-/// flags --shards=K / --workers=W (into GlobalShardConfig) and the bench
-/// output flags --json[=PATH], --no-json, --reps=K from argv, leaving
-/// any bench-specific flags in place. Returns false (diagnostic
-/// printed) on a malformed value; callers should exit nonzero.
-inline bool ParseBenchFlags(int* argc, char** argv, const std::string& name,
+/// Flag parsing for bench mains: the observer flags of obs::FrontEnd
+/// plus the bench output flags --json[=PATH], --no-json and --reps=K.
+/// Returns false (diagnostic printed) on a malformed value or any other
+/// argument; callers should exit 2.
+inline bool ParseBenchFlags(int argc, char** argv, const std::string& name,
                             int default_reps = 1) {
-  BenchConfig& config = GlobalBenchConfig();
-  config.name = name;
-  config.json_path = "BENCH_" + name + ".json";
-  config.reps = default_reps;
-  if (!ParseTraceFlags(argc, argv)) return false;
-  bool ok = true;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
+  BenchRun& run = GlobalBench();
+  run.name = name;
+  run.json_path = "BENCH_" + name + ".json";
+  run.reps = default_reps;
+  for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const int obs = metrics::ParseObsFlag(arg);
-    if (obs != 0) {
-      if (obs < 0) ok = false;
-      continue;
-    }
+    const int consumed = run.observers.ParseFlag(arg);
+    if (consumed < 0) return false;
+    if (consumed > 0) continue;
     if (arg == "--json") {
-      config.write_json = true;
+      run.write_json = true;
     } else if (arg.rfind("--json=", 0) == 0) {
-      config.write_json = true;
-      config.json_path = std::string(arg.substr(7));
+      run.write_json = true;
+      run.json_path = std::string(arg.substr(7));
     } else if (arg == "--no-json") {
-      config.write_json = false;
+      run.write_json = false;
     } else if (arg.rfind("--reps=", 0) == 0) {
-      config.reps = std::atoi(arg.substr(7).data());
-      if (config.reps < 1) config.reps = 1;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      GlobalShardConfig().shards = static_cast<std::uint32_t>(
-          std::strtoul(arg.substr(9).data(), nullptr, 10));
-      if (GlobalShardConfig().shards == 0) GlobalShardConfig().shards = 1;
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      GlobalShardConfig().workers = static_cast<std::uint32_t>(
-          std::strtoul(arg.substr(10).data(), nullptr, 10));
-      if (GlobalShardConfig().workers == 0) GlobalShardConfig().workers = 1;
+      run.reps = std::max(1, std::atoi(arg.substr(7).data()));
     } else {
-      argv[out++] = argv[i];
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return false;
     }
   }
-  *argc = out;
-  if (ok) {
-    if (const extmem::Status status = obs::StartConfiguredExporter();
-        !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      ok = false;
-    }
-  }
-  return ok;
+  return run.observers.Start() == 0;
 }
 
-/// When tracing is enabled the run is wrapped in a root span named
-/// `span_name`; pass `expect_ios` (the paper's formula value for this
-/// instance) to annotate the span for measured/expected reporting.
-/// Every call also appends a record to GlobalReporter so FinishBench
-/// can write the bench's JSON file; pass `n` (the workload scale) so
-/// the record keys stay unique for bench_diff.
+/// Runs `fn` (which returns its result count) `reps` times under a span
+/// named `name` and records the best wall clock. I/O, per-tag deltas,
+/// peak memory and metrics come from the first repetition; reruns
+/// charge identically. `expect` (the paper's formula value for this
+/// instance, < 0 when the bench has none) annotates the span and adds
+/// an audit row; `n` (the workload scale) keeps the record keys unique
+/// for bench_diff.
+inline Measured Measure(extmem::Device* dev, const char* name,
+                        std::uint64_t n, int reps,
+                        const std::function<std::uint64_t()>& fn,
+                        long double expect = -1.0L) {
+  BenchRun& run = GlobalBench();
+  run.observers.Attach(dev);
+  Reporter::Record rec;
+  rec.bench = name;
+  rec.m = dev->M();
+  rec.b = dev->B();
+  rec.n = n;
+  rec.wall_ns = ~std::uint64_t{0};
+  rec.expect = expect;
+  for (int i = 0; i < reps; ++i) {
+    const metrics::DeviceSnapshot before = metrics::Snapshot(*dev);
+    const std::uint64_t t0 = NowNs();
+    std::uint64_t results = 0;
+    {
+      trace::Span span(dev, name);
+      if (expect >= 0.0L) span.ExpectIos(expect);
+      results = fn();
+    }
+    rec.wall_ns = std::min(rec.wall_ns, NowNs() - t0);
+    if (i > 0) continue;
+    rec.ios = (dev->stats() - before.io).total();
+    rec.results = results;
+    rec.peak_mem = dev->gauge().high_water();
+    rec.tags = extmem::TagDelta(dev->per_tag(), before.tags);
+    run.observers.Collect(*dev, before);
+  }
+  if (expect >= 0.0L) {
+    run.observers.AddAuditRow({rec.bench + "|M=" + std::to_string(rec.m) +
+                                   "|B=" + std::to_string(rec.b) +
+                                   "|n=" + std::to_string(rec.n),
+                               rec.ios, expect});
+  }
+  run.reporter.Add(rec);
+  return {rec.ios, rec.results};
+}
+
+/// Measure() over a join that emits into a counting sink.
 inline Measured MeasureJoin(
     extmem::Device* dev,
     const std::function<void(const core::EmitFn&)>& run,
     const char* span_name = "join", long double expect_ios = -1.0L,
     std::uint64_t n = 0) {
-  AttachObservers(dev);
-  core::CountingSink sink;
-  const extmem::IoStats before = dev->stats();
-  const metrics::TagSnapshot tags_before = dev->per_tag();
-  const extmem::FaultStats faults_before =
-      dev->fault_injector() != nullptr ? dev->fault_injector()->stats()
-                                       : extmem::FaultStats{};
-  const std::uint64_t t0 = NowNs();
-  {
-    trace::Span span(dev, span_name);
-    if (expect_ios >= 0.0L) span.ExpectIos(expect_ios);
-    run(sink.AsEmitFn());
-  }
-  const std::uint64_t elapsed = NowNs() - t0;
-
-  Reporter::Record rec;
-  rec.bench = span_name;
-  rec.m = dev->M();
-  rec.b = dev->B();
-  rec.n = n;
-  rec.ios = (dev->stats() - before).total();
-  rec.wall_ns = elapsed;
-  rec.results = sink.count();
-  rec.peak_mem = dev->gauge().high_water();
-  rec.expect = expect_ios;
-  for (const auto& [tag, after] : dev->per_tag()) {
-    extmem::IoStats delta = after;
-    if (const auto it = tags_before.find(tag); it != tags_before.end()) {
-      delta = after - it->second;
-    }
-    if (delta.total() > 0) rec.tags[tag] = delta;
-  }
-  if (metrics::Registry* reg = dev->metrics()) {
-    metrics::CollectDeviceDelta(*dev, before, tags_before, reg);
-    if (dev->fault_injector() != nullptr) {
-      metrics::CollectFaultDelta(
-          dev->fault_injector()->stats() - faults_before, reg);
-    }
-    // Refresh the live /metrics body after each measured region so an
-    // HTTP scrape mid-bench sees up-to-date samples.
-    obs::PublishGlobalMetrics();
-  }
-
-  Measured m;
-  m.ios = rec.ios;
-  m.results = rec.results;
-  GlobalReporter().Add(std::move(rec));
-  return m;
+  return Measure(
+      dev, span_name, n, /*reps=*/1,
+      [&run] {
+        core::CountingSink sink;
+        run(sink.AsEmitFn());
+        return sink.count();
+      },
+      expect_ios);
 }
 
-/// Writes the measured-vs-bound audit for every record that carries an
-/// expected value, in the same {"rows": [...]} shape emjoin_audit uses
-/// so bench_diff can gate it. A row passes when measured/expected stays
-/// within [1/64, 64] — the bench-level band is generous because single
-/// points carry no slope information.
-inline bool WriteBenchAudit(const std::string& path) {
-  const auto& records = GlobalReporter().records();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  // One-sided, like emjoin_audit: a Table 1 claim is an upper bound,
-  // so only exceeding it (beyond the constant-factor band plus a
-  // partial-block rounding slack) is a failure.
-  constexpr double kBand = 64.0;
-  constexpr double kSlackIos = 64.0;
-  bool all_pass = true;
-  std::string rows;
-  std::size_t audited = 0;
-  for (const Reporter::Record& r : records) {
-    if (r.expect < 0.0L) continue;
-    const double expected = static_cast<double>(r.expect);
-    const double ratio =
-        expected > 0 ? static_cast<double>(r.ios) / expected : 0.0;
-    const bool pass =
-        static_cast<double>(r.ios) <= kBand * expected + kSlackIos;
-    all_pass = all_pass && pass;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "%s    {\"name\": \"%s|M=%llu|B=%llu|n=%llu\", "
-                  "\"measured\": %llu, \"expected\": %.3f, "
-                  "\"ratio\": %.4f, \"verdict\": \"%s\"}",
-                  audited == 0 ? "" : ",\n", r.bench.c_str(),
-                  static_cast<unsigned long long>(r.m),
-                  static_cast<unsigned long long>(r.b),
-                  static_cast<unsigned long long>(r.n),
-                  static_cast<unsigned long long>(r.ios), expected, ratio,
-                  pass ? "PASS" : "FAIL");
-    rows += buf;
-    ++audited;
-  }
-  std::fprintf(f,
-               "{\n  \"schema\": \"emjoin-bench-audit-v1\",\n"
-               "  \"all_pass\": %s,\n  \"rows\": [\n%s\n  ]\n}\n",
-               all_pass ? "true" : "false", rows.c_str());
-  std::fclose(f);
-  return true;
-}
-
-/// Flushes everything a bench accumulated: the BENCH_<name>.json
-/// reporter records, the metrics registry (--metrics), the
-/// measured-vs-bound audit (--audit) and the trace. Call at the end of
-/// main and return the result as the exit code.
+/// Flushes everything a bench accumulated: the BENCH_<name>.json records,
+/// then the observers' artifacts and telemetry epilogue (see
+/// obs::FrontEnd::Finish). Call at the end of main and return the result
+/// as the exit code.
 inline int FinishBench() {
-  const BenchConfig& config = GlobalBenchConfig();
+  BenchRun& run = GlobalBench();
   int rc = 0;
-  if (config.write_json && !GlobalReporter().records().empty()) {
-    if (GlobalReporter().WriteJson(config.json_path)) {
+  if (run.write_json && !run.reporter.records().empty()) {
+    if (run.reporter.WriteJson(run.json_path)) {
       std::fprintf(stderr, "bench: %zu records -> %s\n",
-                   GlobalReporter().records().size(),
-                   config.json_path.c_str());
+                   run.reporter.records().size(), run.json_path.c_str());
     } else {
-      std::fprintf(stderr, "cannot write %s\n", config.json_path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", run.json_path.c_str());
       rc = 1;
     }
   }
-  if (!metrics::WriteMetricsFile()) rc = 1;
-  const std::string& audit_path = metrics::GlobalObsConfig().audit_path;
-  if (!audit_path.empty()) {
-    if (WriteBenchAudit(audit_path)) {
-      std::fprintf(stderr, "audit -> %s\n", audit_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", audit_path.c_str());
-      rc = 1;
-    }
-  }
-  const int trace_rc = FinishTrace();
-  if (rc == 0) rc = trace_rc;
-  // Telemetry epilogue last: pins /progress at 100 on success, dumps
-  // the flight recorder, lingers for a final scrape, stops the exporter.
-  return obs::FinishTelemetry(rc);
+  const int finish_rc = run.observers.Finish(0);
+  return rc != 0 ? rc : finish_rc;
 }
 
 }  // namespace emjoin::bench

@@ -72,7 +72,7 @@ void RunLine3() {
 }  // namespace emjoin
 
 int main(int argc, char** argv) {
-  if (!emjoin::bench::ParseBenchFlags(&argc, argv, "yannakakis_gap")) return 2;
+  if (!emjoin::bench::ParseBenchFlags(argc, argv, "yannakakis_gap")) return 2;
   emjoin::RunTwoRelations();
   emjoin::RunLine3();
   return emjoin::bench::FinishBench();

@@ -2,6 +2,8 @@
 #define EMJOIN_EXTMEM_IO_STATS_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 
 namespace emjoin::extmem {
@@ -54,6 +56,23 @@ IoStats Total(const Range& range) {
     }
   }
   return sum;
+}
+
+/// Per-tag I/O breakdown, keyed by tag content (Device::per_tag()).
+using TagStats = std::map<std::string, IoStats, std::less<>>;
+
+/// The nonzero per-tag deltas of `after` against the earlier snapshot
+/// `before`; a tag absent from `before` counts from zero.
+inline TagStats TagDelta(const TagStats& after, const TagStats& before) {
+  TagStats delta;
+  for (const auto& [tag, now] : after) {
+    IoStats d = now;
+    if (const auto it = before.find(tag); it != before.end()) {
+      d = now - it->second;
+    }
+    if (d.total() != 0) delta.emplace(tag, d);
+  }
+  return delta;
 }
 
 }  // namespace emjoin::extmem

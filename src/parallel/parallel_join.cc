@@ -251,11 +251,7 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     report.faults = report.faults + sr.faults;
 
     if (merged_metrics != nullptr) {
-      metrics::CollectDeviceDelta(*devices[s], extmem::IoStats{},
-                                  metrics::TagSnapshot{}, registries[s].get());
-      if (injectors[s] != nullptr) {
-        metrics::CollectFaultDelta(injectors[s]->stats(), registries[s].get());
-      }
+      metrics::CollectDelta(*devices[s], {}, registries[s].get());
       merged_metrics->MergeFrom(*registries[s],
                                 {{"shard", std::to_string(s)}});
     }

@@ -1,7 +1,6 @@
 #include "serve/query_spec.h"
 
-#include <cstdlib>
-
+#include "obs/front_end.h"
 #include "obs/progress.h"
 
 namespace emjoin::serve {
@@ -12,27 +11,6 @@ extmem::Status SpecError(std::size_t line_no, const std::string& message) {
   return extmem::Status(extmem::StatusCode::kInvalidInput,
                         "query spec line " + std::to_string(line_no) + ": " +
                             message);
-}
-
-bool ParseU64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseProbability(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (value < 0.0 || value > 1.0) return false;
-  *out = value;
-  return true;
 }
 
 bool ValidId(const std::string& id) {
@@ -79,17 +57,17 @@ extmem::Result<QuerySpec> ParseQuerySpec(const std::string& body) {
       }
       spec.id = value;
     } else if (key == "memory") {
-      if (!ParseU64(value, &number) || number == 0) {
+      if (!obs::ParseU64(value, &number) || number == 0) {
         return SpecError(line_no, "memory must be a positive tuple count");
       }
       spec.memory = number;
     } else if (key == "block") {
-      if (!ParseU64(value, &number) || number == 0) {
+      if (!obs::ParseU64(value, &number) || number == 0) {
         return SpecError(line_no, "block must be a positive tuple count");
       }
       spec.block = number;
     } else if (key == "shards") {
-      if (!ParseU64(value, &number) || number == 0 ||
+      if (!obs::ParseU64(value, &number) || number == 0 ||
           number > obs::ProgressTracker::kMaxShards) {
         return SpecError(
             line_no,
@@ -98,7 +76,8 @@ extmem::Result<QuerySpec> ParseQuerySpec(const std::string& body) {
       }
       spec.shards = static_cast<std::uint32_t>(number);
     } else if (key == "workers") {
-      if (!ParseU64(value, &number) || number == 0 || number > 64) {
+      if (!obs::ParseU64(value, &number) || number == 0 ||
+          number > obs::kMaxWorkers) {
         return SpecError(line_no, "workers must be in [1, 64]");
       }
       spec.workers = static_cast<std::uint32_t>(number);
@@ -117,33 +96,33 @@ extmem::Result<QuerySpec> ParseQuerySpec(const std::string& body) {
       spec.relations.push_back(
           RelationSpec{value.substr(0, inner), value.substr(inner + 1)});
     } else if (key == "fault-seed") {
-      if (!ParseU64(value, &number)) {
+      if (!obs::ParseU64(value, &number)) {
         return SpecError(line_no, "fault-seed must be an unsigned integer");
       }
       spec.fault_config.seed = number;
     } else if (key == "fault-read") {
-      if (!ParseProbability(value, &probability)) {
+      if (!obs::ParseProbability(value, &probability)) {
         return SpecError(line_no, "fault-read must be in [0, 1]");
       }
       spec.fault_config.read_fail = probability;
     } else if (key == "fault-write") {
-      if (!ParseProbability(value, &probability)) {
+      if (!obs::ParseProbability(value, &probability)) {
         return SpecError(line_no, "fault-write must be in [0, 1]");
       }
       spec.fault_config.write_fail = probability;
     } else if (key == "fault-torn") {
-      if (!ParseProbability(value, &probability)) {
+      if (!obs::ParseProbability(value, &probability)) {
         return SpecError(line_no, "fault-torn must be in [0, 1]");
       }
       spec.fault_config.torn_write = probability;
     } else if (key == "fault-retries") {
-      if (!ParseU64(value, &number)) {
+      if (!obs::ParseU64(value, &number)) {
         return SpecError(line_no, "fault-retries must be an unsigned integer");
       }
       spec.fault_config.retry.max_retries =
           static_cast<std::uint32_t>(number);
     } else if (key == "fault-kill-at") {
-      if (!ParseU64(value, &number)) {
+      if (!obs::ParseU64(value, &number)) {
         return SpecError(line_no, "fault-kill-at must be an unsigned integer");
       }
       spec.fault_config.kill_at_ios = number;

@@ -516,9 +516,7 @@ void Server::RunSession(QuerySession* session) {
 
   session->DisarmKillSwitch();
 
-  metrics::CollectDeviceDelta(device, extmem::IoStats{}, {},
-                              &attempt_registry);
-  metrics::CollectFaultDelta(injector.stats(), &attempt_registry);
+  metrics::CollectDelta(device, {}, &attempt_registry);
   session->AbsorbAttempt(attempt_registry, device.stats() + shard_io,
                          injector.stats() + shard_faults,
                          session->manifest().journal().rows(), status);

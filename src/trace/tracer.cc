@@ -45,14 +45,7 @@ void Tracer::CloseSpan(SpanId id) {
 
   rec.inclusive = dev->stats() - frame.open_io;
   rec.peak_resident = dev->gauge().PopWatermark();
-  for (const auto& [tag, now] : dev->per_tag()) {
-    extmem::IoStats delta = now;
-    if (const auto it = frame.open_tags.find(tag);
-        it != frame.open_tags.end()) {
-      delta = now - it->second;
-    }
-    if (delta.total() != 0) rec.by_tag.emplace(tag, delta);
-  }
+  rec.by_tag = extmem::TagDelta(dev->per_tag(), frame.open_tags);
   // An injector detached (or swapped in) mid-span yields no meaningful
   // delta, so fault attribution requires the same injector view at both
   // ends.

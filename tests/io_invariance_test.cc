@@ -323,7 +323,7 @@ TEST(IoInvariance, MetricsRegistryChangesNoCharges) {
   EXPECT_GT(reg.GetHistogram("emjoin_sort_merge_fanin")->count(), 0u);
 
   // Collected counters must mirror the golden charge profile exactly.
-  metrics::CollectDeviceDelta(dev, extmem::IoStats{}, {}, &reg);
+  metrics::CollectDelta(dev, {}, &reg);
   EXPECT_EQ(reg.GetCounter("emjoin_device_io_blocks_total",
                            {{"op", "read"}, {"tag", "sort"}})
                 ->value(),

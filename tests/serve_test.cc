@@ -30,6 +30,8 @@
 #include "core/emit.h"
 #include "extmem/device.h"
 #include "metrics/registry.h"
+#include "obs/front_end.h"
+#include "parallel/parallel_join.h"
 #include "parallel/worker_pool.h"
 #include "serve/admission.h"
 #include "serve/query_spec.h"
@@ -237,6 +239,64 @@ TEST(ServeSpec, RejectsMalformedDirectivesWithLineNumbers) {
   const auto bad_id = serve::ParseQuerySpec("id=bad id!\nrel=a,b=x.csv\n");
   ASSERT_FALSE(bad_id.ok());
   EXPECT_NE(bad_id.status().ToString().find("line 1"), std::string::npos);
+}
+
+// emjoin_cli and emjoin_export parse --shards/--workers/--fault-* with
+// the spec parser's rules: whole-string integers, probabilities in
+// [0, 1], shards and workers in [1, 64]. Each value is fed to both.
+TEST(RunOptions, BothParsersRejectTheSameMalformedValues) {
+  const char* bad[] = {
+      "shards=0",          "shards=65",        "shards= 2",
+      "workers=0",         "workers=65",       "fault-read=1.5",
+      "fault-write=-0.1",  "fault-torn=nan",   "fault-seed=abc",
+      "fault-retries=xyz", "fault-kill-at=1e3",
+      "fault-seed=18446744073709551616",  // 2^64 overflows
+  };
+  for (const char* directive : bad) {
+    const auto spec = serve::ParseQuerySpec(std::string("id=q1\n") +
+                                            directive + "\nrel=a,b=x.csv\n");
+    EXPECT_FALSE(spec.ok()) << directive;
+    EXPECT_NE(spec.status().ToString().find("line 2"), std::string::npos)
+        << spec.status().ToString();
+    parallel::ParallelOptions options;
+    EXPECT_EQ(obs::ParseRunOption(std::string("--") + directive, &options),
+              -1)
+        << directive;
+  }
+
+  const char* good[] = {"shards=64",      "workers=64",    "fault-seed=7",
+                        "fault-read=0.25", "fault-write=1", "fault-torn=0",
+                        "fault-retries=3", "fault-kill-at=9"};
+  parallel::ParallelOptions options;
+  std::string body = "id=q1\nrel=a,b=x.csv\n";
+  for (const char* directive : good) {
+    EXPECT_EQ(obs::ParseRunOption(std::string("--") + directive, &options), 1)
+        << directive;
+    body += std::string(directive) + "\n";
+  }
+  const auto spec = serve::ParseQuerySpec(body);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(options.shards, spec->shards);
+  EXPECT_EQ(options.workers, spec->workers);
+  EXPECT_TRUE(options.faults);
+  const extmem::FaultConfig& cli = options.fault_config;
+  const extmem::FaultConfig& served = spec->fault_config;
+  EXPECT_EQ(cli.seed, served.seed);
+  EXPECT_EQ(cli.read_fail, served.read_fail);
+  EXPECT_EQ(cli.write_fail, served.write_fail);
+  EXPECT_EQ(cli.torn_write, served.torn_write);
+  EXPECT_EQ(cli.retry.max_retries, served.retry.max_retries);
+  EXPECT_EQ(cli.kill_at_ios, served.kill_at_ios);
+
+  // Not a run option: left for the tool's own flags.
+  EXPECT_EQ(obs::ParseRunOption("--memory=64", &options), 0);
+  // Flags only the command line has, strict as well.
+  EXPECT_EQ(obs::ParseRunOption("--fault-shrink-at=5,9", &options), 1);
+  EXPECT_EQ(options.fault_config.shrink_at_ios,
+            (std::vector<std::uint64_t>{5, 9}));
+  EXPECT_EQ(obs::ParseRunOption("--fault-shrink-at=5,,9", &options), -1);
+  EXPECT_EQ(obs::ParseRunOption("--fault-kill-at=0", &options), -1);
+  EXPECT_EQ(obs::ParseRunOption("--fault-capacity=x", &options), -1);
 }
 
 TEST(ServeSpec, RejectsMissingFieldsAndDegenerateMemory) {

@@ -34,6 +34,9 @@
 //       duration of the run (plus --export-linger-ms for one final
 //       scrape); --recorder dumps the flight-recorder event log as
 //       JSONL on exit, success or failure (see docs/OBSERVABILITY.md).
+//       The observer flags and the --shards/--workers/--fault-* run
+//       options are parsed by obs/front_end.h, shared with emjoin_export
+//       and the benches; a malformed value is a usage error (64).
 //
 //   emjoin_cli plan [--memory M] [--block B] "attr1,attr2:SIZE" ...
 //       No data: prints the query classification, GenS families and the
@@ -43,7 +46,7 @@
 //       Runs the built-in Figure 3 worst case end to end.
 //
 // Exit codes (one failure class each, always with a one-line stderr
-// message prefixed "emjoin_cli:"):
+// diagnostic; obs::ExitCodeFor is the map):
 //   0   success
 //   64  usage error (unknown flag/command, malformed argument syntax)
 //   65  bad input data (CSV parse error, bad schema, non-acyclic query)
@@ -65,44 +68,24 @@
 #include "extmem/status.h"
 #include "gens/gens.h"
 #include "gens/psi.h"
-#include "metrics/collect.h"
-#include "metrics/obs.h"
-#include "obs/runtime.h"
+#include "obs/front_end.h"
 #include "parallel/parallel_join.h"
 #include "query/classify.h"
 #include "recover/manifest.h"
 #include "recover/resume.h"
 #include "storage/csv.h"
-#include "trace/sinks.h"
 #include "trace/tracer.h"
 #include "workload/constructions.h"
 
 namespace {
 
 using namespace emjoin;
-
-// Sysexits-style map; every StatusCode has a distinct exit code so shell
-// callers (and the soak CI job) can tell failure classes apart.
-constexpr int kExitUsage = 64;
-
-int ExitCodeFor(const extmem::Status& status) {
-  switch (status.code()) {
-    case extmem::StatusCode::kOk: return 0;
-    case extmem::StatusCode::kInvalidInput: return 65;
-    case extmem::StatusCode::kNotFound: return 66;
-    case extmem::StatusCode::kDeviceFull: return 69;
-    case extmem::StatusCode::kInternal: return 70;
-    case extmem::StatusCode::kDataLoss: return 73;
-    case extmem::StatusCode::kIoError: return 74;
-    case extmem::StatusCode::kBudgetExceeded: return 75;
-  }
-  return 70;
-}
+using obs::kExitUsage;
 
 // One-line stderr diagnostic + mapped exit code.
 int Fail(const extmem::Status& status) {
   std::fprintf(stderr, "emjoin_cli: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
+  return obs::ExitCodeFor(status);
 }
 
 int FailUsage(const std::string& message) {
@@ -115,36 +98,26 @@ struct CommonFlags {
   TupleCount block = 1 << 10;
   bool print = false;
   bool stats = false;
-  bool trace = false;
-  std::string trace_path;              // empty: tree report to stdout
-  std::string trace_format = "tree";   // tree | jsonl | chrome
   std::string algo = "auto";
-  std::uint32_t shards = 1;
-  std::uint32_t workers = 1;
-  bool faults = false;
-  extmem::FaultConfig fault_config;
-  std::string resume_path;  // empty: no manifest
+  parallel::ParallelOptions run;  // --shards, --workers, --fault-*
+  std::string resume_path;        // empty: no manifest
   std::vector<std::string> positional;
 };
 
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
-
 // Returns 0 on success, else the exit code for the flag error.
-int ParseFlags(int argc, char** argv, int start, CommonFlags* out) {
+int ParseFlags(int argc, char** argv, int start, CommonFlags* out,
+               obs::FrontEnd* observers) {
   for (int i = start; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto eq_value = [&](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
     auto next = [&](TupleCount* dst) {
       if (i + 1 >= argc) return false;
       *dst = std::strtoull(argv[++i], nullptr, 10);
       return true;
     };
+    int consumed = observers->ParseFlag(arg);
+    if (consumed == 0) consumed = obs::ParseRunOption(arg, &out->run);
+    if (consumed < 0) return kExitUsage;
+    if (consumed > 0) continue;
     if (arg == "--memory") {
       if (!next(&out->memory)) return FailUsage("missing value after " + arg);
     } else if (arg == "--block") {
@@ -153,95 +126,14 @@ int ParseFlags(int argc, char** argv, int start, CommonFlags* out) {
       out->print = true;
     } else if (arg == "--stats") {
       out->stats = true;
-    } else if (arg == "--trace") {
-      out->trace = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      out->trace = true;
-      out->trace_path = eq_value("--trace=");
-    } else if (arg.rfind("--trace-format=", 0) == 0) {
-      out->trace = true;
-      out->trace_format = eq_value("--trace-format=");
-      if (out->trace_format != "tree" && out->trace_format != "jsonl" &&
-          out->trace_format != "chrome") {
-        return FailUsage("unknown trace format '" + out->trace_format + "'");
-      }
     } else if (arg == "--algo") {
       if (i + 1 >= argc) return FailUsage("missing value after --algo");
       out->algo = argv[++i];
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      out->shards = static_cast<std::uint32_t>(
-          std::strtoul(eq_value("--shards=").c_str(), nullptr, 10));
-      if (out->shards == 0) return FailUsage("--shards must be >= 1");
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      out->workers = static_cast<std::uint32_t>(
-          std::strtoul(eq_value("--workers=").c_str(), nullptr, 10));
-      if (out->workers == 0) return FailUsage("--workers must be >= 1");
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      out->faults = true;
-      out->fault_config.seed =
-          std::strtoull(eq_value("--fault-seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--fault-read=", 0) == 0) {
-      out->faults = true;
-      if (!ParseDouble(eq_value("--fault-read="),
-                       &out->fault_config.read_fail)) {
-        return FailUsage("bad probability in " + arg);
-      }
-    } else if (arg.rfind("--fault-write=", 0) == 0) {
-      out->faults = true;
-      if (!ParseDouble(eq_value("--fault-write="),
-                       &out->fault_config.write_fail)) {
-        return FailUsage("bad probability in " + arg);
-      }
-    } else if (arg.rfind("--fault-torn=", 0) == 0) {
-      out->faults = true;
-      if (!ParseDouble(eq_value("--fault-torn="),
-                       &out->fault_config.torn_write)) {
-        return FailUsage("bad probability in " + arg);
-      }
-    } else if (arg.rfind("--fault-capacity=", 0) == 0) {
-      out->faults = true;
-      out->fault_config.device_capacity_blocks =
-          std::strtoull(eq_value("--fault-capacity=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--fault-shrink-at=", 0) == 0) {
-      out->faults = true;
-      const std::string list = eq_value("--fault-shrink-at=");
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        out->fault_config.shrink_at_ios.push_back(
-            std::strtoull(list.substr(pos, end - pos).c_str(), nullptr, 10));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-    } else if (arg == "--fault-shrink-every-poll") {
-      out->faults = true;
-      out->fault_config.shrink_every_poll = true;
-    } else if (arg.rfind("--fault-retries=", 0) == 0) {
-      out->faults = true;
-      out->fault_config.retry.max_retries = static_cast<std::uint32_t>(
-          std::strtoul(eq_value("--fault-retries=").c_str(), nullptr, 10));
-    } else if (arg == "--fault-adaptive-retry") {
-      out->faults = true;
-      out->fault_config.adaptive_retry = true;
-    } else if (arg.rfind("--fault-kill-at=", 0) == 0) {
-      out->faults = true;
-      out->fault_config.kill_at_ios =
-          std::strtoull(eq_value("--fault-kill-at=").c_str(), nullptr, 10);
-      if (out->fault_config.kill_at_ios == 0) {
-        return FailUsage("--fault-kill-at must be >= 1");
-      }
     } else if (arg.rfind("--resume=", 0) == 0) {
-      out->resume_path = eq_value("--resume=");
+      out->resume_path = arg.substr(std::strlen("--resume="));
       if (out->resume_path.empty()) {
         return FailUsage("--resume requires a manifest path");
       }
-    } else if (const int obs = metrics::ParseObsFlag(arg); obs != 0) {
-      // --metrics=PATH / --metrics-format=... / --audit=PATH, shared
-      // with the benches (bench/bench_util.h). Diagnostics for obs < 0
-      // were already printed.
-      if (obs < 0) return kExitUsage;
     } else if (arg.rfind("--", 0) == 0) {
       return FailUsage("unknown flag " + arg);
     } else {
@@ -251,51 +143,14 @@ int ParseFlags(int argc, char** argv, int start, CommonFlags* out) {
   if (out->block < 1 || out->block > out->memory) {
     return FailUsage("require 1 <= block <= memory");
   }
-  if (out->trace && out->trace_format != "tree" && out->trace_path.empty()) {
-    return FailUsage("--trace-format=" + out->trace_format +
-                     " requires --trace=PATH");
-  }
   return 0;
 }
 
-// Flushes a recorded trace to the sink the flags selected. Returns 0 on
-// success, 70 when the output file cannot be written.
-int WriteTrace(const trace::Tracer& tracer, const CommonFlags& flags) {
-  bool ok = true;
-  if (flags.trace_format == "jsonl") {
-    ok = trace::WriteJsonl(tracer, flags.trace_path);
-  } else if (flags.trace_format == "chrome") {
-    ok = trace::WriteChromeTrace(tracer, flags.trace_path);
-  } else if (flags.trace_path.empty()) {
-    std::fputs(trace::TreeReport(tracer).c_str(), stdout);
-  } else {
-    std::FILE* f = std::fopen(flags.trace_path.c_str(), "w");
-    ok = f != nullptr;
-    if (ok) {
-      std::fputs(trace::TreeReport(tracer).c_str(), f);
-      std::fclose(f);
-    }
-  }
-  if (!ok) {
-    return Fail(extmem::Status(extmem::StatusCode::kInternal,
-                               "failed to write trace to " +
-                                   flags.trace_path));
-  }
-  if (!flags.trace_path.empty()) {
-    std::printf("trace:     %zu spans (%s) -> %s\n", tracer.spans().size(),
-                flags.trace_format.c_str(), flags.trace_path.c_str());
-  }
-  return 0;
-}
-
-int CmdJoin(const CommonFlags& flags) {
+int CmdJoin(const CommonFlags& flags, obs::FrontEnd* observers) {
   extmem::Device dev(flags.memory, flags.block);
-  trace::Tracer tracer;
-  if (flags.trace) dev.set_tracer(&tracer);
-  metrics::AttachMetrics(&dev);
-  obs::AttachTelemetry(&dev);
-  extmem::FaultInjector injector(flags.fault_config);
-  if (flags.faults) dev.set_fault_injector(&injector);
+  observers->Attach(&dev);
+  extmem::FaultInjector injector(flags.run.fault_config);
+  if (flags.run.faults) dev.set_fault_injector(&injector);
 
   std::vector<std::string> names;
   std::vector<storage::Relation> rels;
@@ -319,7 +174,7 @@ int CmdJoin(const CommonFlags& flags) {
   }
   if (rels.empty()) return FailUsage("no relations given");
 
-  if (obs::TelemetryConfigured()) {
+  if (observers->telemetry_enabled()) {
     // Phase plan for /progress: the Theorem 3 worst-case bound is a
     // closed form over (sizes, M, B) — unlike PredictBoundExact it runs
     // no counting oracles, so planning telemetry charges zero I/Os.
@@ -328,7 +183,7 @@ int CmdJoin(const CommonFlags& flags) {
     if (q.IsBergeAcyclic()) {
       long double expected =
           gens::PredictBoundWorstCase(q, dev.M(), dev.B()).bound;
-      if (flags.shards > 1) {
+      if (flags.run.shards > 1) {
         // Sharded runs pay one extra write+read pass to redistribute.
         std::uint64_t input_blocks = 0;
         for (const auto& r : rels) {
@@ -336,7 +191,7 @@ int CmdJoin(const CommonFlags& flags) {
         }
         expected += 2.0L * static_cast<long double>(input_blocks);
       }
-      obs::GlobalTelemetry().tracker().SetPlan({{"join", expected}});
+      observers->telemetry().tracker().SetPlan({{"join", expected}});
     }
   }
 
@@ -385,18 +240,14 @@ int CmdJoin(const CommonFlags& flags) {
     // counting-oracle I/O (which runs outside the measured window).
     trace::Span join_span(&dev, "join");
     if (flags.algo == "yann") {
-      if (flags.shards > 1) {
+      if (flags.run.shards > 1) {
         return FailUsage("--shards requires --algo auto");
       }
       const auto report = core::TryYannakakisJoin(rels, emit);
       if (!report.ok()) return Fail(report.status());
       std::printf("algorithm: Yannakakis (baseline)\n");
-    } else if (flags.shards > 1) {
-      parallel::ParallelOptions poptions;
-      poptions.shards = flags.shards;
-      poptions.workers = flags.workers;
-      poptions.faults = flags.faults;
-      poptions.fault_config = flags.fault_config;
+    } else if (flags.run.shards > 1) {
+      parallel::ParallelOptions poptions = flags.run;
       if (resuming) {
         poptions.manifest = &manifest;
         // A loaded manifest whose query completed replays nothing at
@@ -405,11 +256,8 @@ int CmdJoin(const CommonFlags& flags) {
         // manifest has an empty query journal and this emits nothing.
         manifest.journal().ReplayInto(emit);
       }
-      metrics::Registry* merged = metrics::MetricsCollectionEnabled()
-                                      ? &metrics::GlobalMetricsRegistry()
-                                      : nullptr;
-      const auto report =
-          parallel::TryParallelJoinAuto(rels, emit, poptions, merged);
+      const auto report = parallel::TryParallelJoinAuto(
+          rels, emit, poptions, observers->registry());
       if (!report.ok()) {
         join_status = report.status();
       } else {
@@ -474,7 +322,7 @@ int CmdJoin(const CommonFlags& flags) {
   if (!join_status.ok()) return Fail(join_status);
   std::printf("results:   %llu\n", (unsigned long long)count);
   std::printf("I/O:       %s\n", dev.stats().ToString().c_str());
-  if (flags.faults) {
+  if (flags.run.faults) {
     std::printf("faults:    %s\n", injector.Describe().c_str());
   }
   if (flags.stats) {
@@ -484,56 +332,21 @@ int CmdJoin(const CommonFlags& flags) {
                 (unsigned long long)dev.M());
   }
   const std::uint64_t join_ios = (dev.stats() - join_before).total();
-  if (metrics::MetricsCollectionEnabled()) {
-    metrics::Registry* reg = &metrics::GlobalMetricsRegistry();
-    metrics::CollectDeviceDelta(dev, extmem::IoStats{}, {}, reg);
-    metrics::CollectFaultStats(dev, reg);
-    // WriteMetricsFile is a no-op unless --metrics was given; the
-    // exporter's /metrics body is refreshed by FinishTelemetry.
-    if (!metrics::WriteMetricsFile()) {
-      return Fail(extmem::Status(extmem::StatusCode::kInternal,
-                                 "failed to write metrics"));
-    }
-  }
-  const std::string& audit_path = metrics::GlobalObsConfig().audit_path;
-  if (!audit_path.empty()) {
+  observers->Collect(dev);
+  if (observers->auditing()) {
     // One-row audit of this join against the instance-exact Theorem 3
-    // bound, in the same shape the benches and emjoin_audit write so
-    // bench_diff can gate it. The bound is computed after the measured
-    // window, so its counting-oracle work never pollutes join_ios.
+    // bound. The bound's counting oracles run after the measured window
+    // and detached from the registry, so they never pollute the run's
+    // numbers.
+    dev.set_metrics(nullptr);
     query::JoinQuery q;
     for (const auto& r : rels) q.AddRelation(r.schema(), r.size());
     const long double bound =
         gens::PredictBoundExact(q, rels, dev.M(), dev.B()).bound;
-    const double ratio =
-        bound > 0 ? static_cast<double>(join_ios) /
-                        static_cast<double>(bound)
-                  : 0.0;
-    // One-sided, like emjoin_audit: the claim is an upper bound, and
-    // the additive slack absorbs partial-block rounding on instances
-    // small enough that ceil(n/B) terms dominate the closed form.
-    const bool pass = static_cast<double>(join_ios) <=
-                      64.0 * static_cast<double>(bound) + 64.0;
-    std::FILE* f = std::fopen(audit_path.c_str(), "w");
-    if (f == nullptr) {
-      return Fail(extmem::Status(extmem::StatusCode::kInternal,
-                                 "failed to write " + audit_path));
-    }
-    std::fprintf(f,
-                 "{\n  \"schema\": \"emjoin-bench-audit-v1\",\n"
-                 "  \"all_pass\": %s,\n  \"rows\": [\n"
-                 "    {\"name\": \"cli_join|M=%llu|B=%llu\", "
-                 "\"measured\": %llu, \"expected\": %.3Lf, "
-                 "\"ratio\": %.4f, \"verdict\": \"%s\"}\n  ]\n}\n",
-                 pass ? "true" : "false", (unsigned long long)dev.M(),
-                 (unsigned long long)dev.B(),
-                 (unsigned long long)join_ios, bound, ratio,
-                 pass ? "PASS" : "FAIL");
-    std::fclose(f);
-    std::printf("audit:     %s (measured/bound = %.2f) -> %s\n",
-                pass ? "PASS" : "FAIL", ratio, audit_path.c_str());
+    observers->AddAuditRow({"cli_join|M=" + std::to_string(dev.M()) +
+                                "|B=" + std::to_string(dev.B()),
+                            join_ios, bound});
   }
-  if (flags.trace) return WriteTrace(tracer, flags);
   return 0;
 }
 
@@ -626,17 +439,16 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   CommonFlags flags;
-  if (const int code = ParseFlags(argc, argv, 2, &flags); code != 0) {
+  obs::FrontEnd observers;
+  if (const int code = ParseFlags(argc, argv, 2, &flags, &observers);
+      code != 0) {
     return code;
   }
   if (cmd == "join") {
-    if (const extmem::Status status = obs::StartConfiguredExporter();
-        !status.ok()) {
-      return Fail(status);
-    }
-    // FinishTelemetry runs on every exit path so a failed run still
-    // dumps its flight recorder and serves one last /progress.
-    return obs::FinishTelemetry(CmdJoin(flags));
+    if (const int code = observers.Start(); code != 0) return code;
+    // Finish runs on every exit path so a failed run still dumps its
+    // flight recorder and serves one last /progress.
+    return observers.Finish(CmdJoin(flags, &observers));
   }
   if (cmd == "plan") return CmdPlan(flags);
   if (cmd == "demo") return CmdDemo();

@@ -10,16 +10,17 @@
 //
 //   emjoin_export [--workload=line3|star] [--n=N] [--petals=K]
 //                 [--memory=M] [--block=B] [--loops=L]
-//                 [--shards=K] [--workers=W]
-//                 [--fault-seed=N] [--fault-read=P] [--fault-write=P]
-//                 [--fault-torn=P] [--fault-retries=K]
+//                 [--shards=K] [--workers=W] [--fault-*]
 //                 [--export-port=PORT] [--export-linger-ms=MS]
 //                 [--recorder=PATH] [--metrics=PATH] ...
 //       Runs L loops of (build worst-case instance, join it) with live
 //       telemetry attached, serving /metrics, /healthz, /progress, and
 //       /events while it works. The phase plan covers every loop, so
 //       /progress climbs monotonically across the whole run and ends at
-//       exactly 100 — this is the binary the CI smoke job polls.
+//       exactly 100 — this is the binary the CI smoke job polls. The
+//       run options and observer flags are emjoin_cli's (obs/front_end.h),
+//       all ten --fault-* flags included; --trace and --audit are usage
+//       errors, since the exporter has no bound to audit against.
 //
 // Exit codes follow the emjoin_cli contract (0 ok, 64 usage, 66 no
 // input, 69/70/73/74/75 per typed Status).
@@ -34,9 +35,7 @@
 #include "extmem/fault_injector.h"
 #include "extmem/status.h"
 #include "gens/psi.h"
-#include "metrics/collect.h"
-#include "metrics/obs.h"
-#include "obs/runtime.h"
+#include "obs/front_end.h"
 #include "parallel/parallel_join.h"
 #include "query/hypergraph.h"
 #include "trace/tracer.h"
@@ -45,26 +44,11 @@
 namespace {
 
 using namespace emjoin;
-
-constexpr int kExitUsage = 64;
-
-int ExitCodeFor(const extmem::Status& status) {
-  switch (status.code()) {
-    case extmem::StatusCode::kOk: return 0;
-    case extmem::StatusCode::kInvalidInput: return 65;
-    case extmem::StatusCode::kNotFound: return 66;
-    case extmem::StatusCode::kDeviceFull: return 69;
-    case extmem::StatusCode::kInternal: return 70;
-    case extmem::StatusCode::kDataLoss: return 73;
-    case extmem::StatusCode::kIoError: return 74;
-    case extmem::StatusCode::kBudgetExceeded: return 75;
-  }
-  return 70;
-}
+using obs::kExitUsage;
 
 int Fail(const extmem::Status& status) {
   std::fprintf(stderr, "emjoin_export: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
+  return obs::ExitCodeFor(status);
 }
 
 int CheckPromFile(const std::string& path) {
@@ -96,23 +80,14 @@ struct Options {
   TupleCount memory = 1 << 12;
   TupleCount block = 1 << 6;
   int loops = 1;
-  std::uint32_t shards = 1;
-  std::uint32_t workers = 1;
-  bool faults = false;
-  extmem::FaultConfig fault_config;
+  parallel::ParallelOptions run;  // --shards, --workers, --fault-*
 };
-
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
 
 std::uint64_t BlocksFor(TupleCount tuples, TupleCount block) {
   return (tuples + block - 1) / block;
 }
 
-int RunWorkload(const Options& opt) {
+int RunWorkload(const Options& opt, obs::FrontEnd* observers) {
   // Analytic phase plan, known before any I/O happens: per loop, the
   // build phase writes the input once, and the join phase is bounded by
   // the Theorem 3 worst case (closed form over sizes/M/B only — the
@@ -136,7 +111,7 @@ int RunWorkload(const Options& opt) {
   for (const TupleCount s : sizes) input_blocks += BlocksFor(s, opt.block);
   long double join_expected =
       gens::PredictBoundWorstCase(q, opt.memory, opt.block).bound;
-  if (opt.shards > 1) {
+  if (opt.run.shards > 1) {
     join_expected += 2.0L * static_cast<long double>(input_blocks);
   }
   std::vector<obs::PhasePlan> plan;
@@ -144,21 +119,21 @@ int RunWorkload(const Options& opt) {
     plan.push_back({"build", static_cast<long double>(input_blocks)});
     plan.push_back({"join", join_expected});
   }
-  obs::GlobalTelemetry().tracker().SetPlan(std::move(plan));
+  observers->telemetry().tracker().SetPlan(std::move(plan));
 
-  metrics::GlobalMetricsRegistry().SetHelp(
-      "emjoin_device_io_blocks_total",
-      "Block transfers charged to the simulated device, by op and tag");
-  metrics::GlobalMetricsRegistry().SetHelp(
-      "emjoin_peak_resident_tuples",
-      "High-water mark of tuples resident in simulated memory");
+  if (metrics::Registry* reg = observers->registry()) {
+    reg->SetHelp(
+        "emjoin_device_io_blocks_total",
+        "Block transfers charged to the simulated device, by op and tag");
+    reg->SetHelp("emjoin_peak_resident_tuples",
+                 "High-water mark of tuples resident in simulated memory");
+  }
 
   for (int l = 0; l < opt.loops; ++l) {
     extmem::Device dev(opt.memory, opt.block);
-    metrics::AttachMetrics(&dev);
-    obs::AttachTelemetry(&dev);
-    extmem::FaultInjector injector(opt.fault_config);
-    if (opt.faults) dev.set_fault_injector(&injector);
+    observers->Attach(&dev);
+    extmem::FaultInjector injector(opt.run.fault_config);
+    if (opt.run.faults) dev.set_fault_injector(&injector);
 
     std::vector<storage::Relation> rels;
     {
@@ -177,34 +152,17 @@ int RunWorkload(const Options& opt) {
     std::uint64_t results = 0;
     {
       trace::Span join_span(&dev, "join");
-      parallel::ParallelOptions poptions;
-      poptions.shards = opt.shards;
-      poptions.workers = opt.workers;
-      poptions.faults = opt.faults;
-      poptions.fault_config = opt.fault_config;
-      metrics::Registry* merged = metrics::MetricsCollectionEnabled()
-                                      ? &metrics::GlobalMetricsRegistry()
-                                      : nullptr;
       const auto report = parallel::TryParallelJoinAuto(
-          rels, [&results](std::span<const Value>) { ++results; }, poptions,
-          merged);
+          rels, [&results](std::span<const Value>) { ++results; }, opt.run,
+          observers->registry());
       if (!report.ok()) return Fail(report.status());
     }
 
-    if (metrics::MetricsCollectionEnabled()) {
-      metrics::Registry* reg = &metrics::GlobalMetricsRegistry();
-      metrics::CollectDeviceDelta(dev, extmem::IoStats{}, {}, reg);
-      metrics::CollectFaultStats(dev, reg);
-      obs::PublishGlobalMetrics();
-    }
+    observers->Collect(dev);
     std::printf("loop %d/%d: %s n=%llu -> %llu results, %s\n", l + 1,
                 opt.loops, opt.workload.c_str(),
                 (unsigned long long)opt.n, (unsigned long long)results,
                 dev.stats().ToString().c_str());
-  }
-  if (!metrics::WriteMetricsFile()) {
-    return Fail(extmem::Status(extmem::StatusCode::kInternal,
-                               "failed to write metrics"));
   }
   return 0;
 }
@@ -213,6 +171,7 @@ int RunWorkload(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
+  obs::FrontEnd observers;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&arg](const char* prefix) {
@@ -221,6 +180,10 @@ int main(int argc, char** argv) {
     if (arg.rfind("--check-prom=", 0) == 0) {
       return CheckPromFile(value("--check-prom="));
     }
+    int consumed = observers.ParseFlag(arg);
+    if (consumed == 0) consumed = obs::ParseRunOption(arg, &opt.run);
+    if (consumed < 0) return kExitUsage;
+    if (consumed > 0) continue;
     if (arg.rfind("--workload=", 0) == 0) {
       opt.workload = value("--workload=");
     } else if (arg.rfind("--n=", 0) == 0) {
@@ -234,46 +197,6 @@ int main(int argc, char** argv) {
       opt.block = std::strtoull(value("--block=").c_str(), nullptr, 10);
     } else if (arg.rfind("--loops=", 0) == 0) {
       opt.loops = std::atoi(value("--loops=").c_str());
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      opt.shards = static_cast<std::uint32_t>(
-          std::strtoul(value("--shards=").c_str(), nullptr, 10));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      opt.workers = static_cast<std::uint32_t>(
-          std::strtoul(value("--workers=").c_str(), nullptr, 10));
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      opt.faults = true;
-      opt.fault_config.seed =
-          std::strtoull(value("--fault-seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--fault-read=", 0) == 0) {
-      opt.faults = true;
-      if (!ParseDouble(value("--fault-read="), &opt.fault_config.read_fail)) {
-        std::fprintf(stderr, "emjoin_export: bad probability in %s\n",
-                     arg.c_str());
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--fault-write=", 0) == 0) {
-      opt.faults = true;
-      if (!ParseDouble(value("--fault-write="),
-                       &opt.fault_config.write_fail)) {
-        std::fprintf(stderr, "emjoin_export: bad probability in %s\n",
-                     arg.c_str());
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--fault-torn=", 0) == 0) {
-      opt.faults = true;
-      if (!ParseDouble(value("--fault-torn="),
-                       &opt.fault_config.torn_write)) {
-        std::fprintf(stderr, "emjoin_export: bad probability in %s\n",
-                     arg.c_str());
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--fault-retries=", 0) == 0) {
-      opt.faults = true;
-      opt.fault_config.retry.max_retries = static_cast<std::uint32_t>(
-          std::strtoul(value("--fault-retries=").c_str(), nullptr, 10));
-    } else if (const int obs_flag = metrics::ParseObsFlag(arg);
-               obs_flag != 0) {
-      if (obs_flag < 0) return kExitUsage;
     } else {
       std::fprintf(stderr,
                    "emjoin_export: unknown flag %s\n"
@@ -287,6 +210,13 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
+  // The exporter joins synthetic instances with no bound to audit
+  // against, and its devices carry no tracer.
+  if (observers.tracing() || observers.auditing()) {
+    std::fprintf(stderr,
+                 "emjoin_export: --trace and --audit are not supported\n");
+    return kExitUsage;
+  }
   if (opt.loops < 1 || opt.block < 1 || opt.block > opt.memory ||
       opt.n == 0 || opt.petals == 0) {
     std::fprintf(stderr,
@@ -294,9 +224,6 @@ int main(int argc, char** argv) {
                  "1 <= block <= memory\n");
     return kExitUsage;
   }
-  if (const extmem::Status status = obs::StartConfiguredExporter();
-      !status.ok()) {
-    return Fail(status);
-  }
-  return obs::FinishTelemetry(RunWorkload(opt));
+  if (const int code = observers.Start(); code != 0) return code;
+  return observers.Finish(RunWorkload(opt, &observers));
 }

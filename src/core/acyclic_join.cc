@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/join_kernel.h"
 #include "core/reduce.h"
 #include "extmem/status.h"
 #include "metrics/registry.h"
@@ -47,11 +48,6 @@ class Executor {
     return q;
   }
 
-  // Binds a physical tuple into the shared assignment.
-  void Bind(const Schema& phys, const Value* t) {
-    assignment_->Bind(phys, t);
-  }
-
   // Calls `on_result` once per result of the natural join of `rels`,
   // with all their attributes bound in the assignment.
   void Rec(std::vector<LiveRel> rels, const std::function<void()>& on_result);
@@ -77,12 +73,13 @@ void Executor::Rec(std::vector<LiveRel> rels,
   if (rels.size() == 1) {
     const LiveRel& lr = rels.front();
     const std::uint32_t w = lr.rel.schema().arity();
+    const BindMap bind(lr.rel.schema(), assignment_->schema());
     extmem::FileReader reader(lr.rel.range());
     while (!reader.Done()) {
       const std::span<const Value> block = reader.NextBlock();
       for (const Value* t = block.data(); t != block.data() + block.size();
            t += w) {
-        Bind(lr.rel.schema(), t);
+        bind.Bind(t, assignment_);
         on_result();
       }
     }
@@ -155,12 +152,13 @@ void Executor::PeelIsland(std::vector<LiveRel> rels, query::EdgeId island,
   rest.erase(rest.begin() + island);
 
   extmem::FileReader reader(lr.rel.range());
+  const BindMap bind(lr.rel.schema(), assignment_->schema());
   // An island shares no live attribute with the rest: every chunk tuple
   // combines with every emitted result (line 8–9).
   const auto process = [&](const MemChunk& part) {
     Rec(rest, [&] {
       for (TupleCount i = 0; i < part.size(); ++i) {
-        Bind(lr.rel.schema(), part.tuple(i).data());
+        bind.Bind(part.tuple(i).data(), assignment_);
         on_result();
       }
     });
@@ -197,6 +195,11 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
   }
   const LiveRel leaf = rels[info.leaf];
   const std::uint32_t leaf_vcol = *leaf.rel.schema().PositionOf(v);
+  // The leaf joins the rest of the query on v alone. Its chunks are
+  // matched against the recursive results, whose v the operator reads
+  // back out of the assignment.
+  const JoinKernel leaf_kernel(leaf.rel.schema(), Schema({v}),
+                               assignment_->schema());
 
   // --- Heavy values (lines 14–20). ---
   for (storage::GroupCursor cur(leaf.rel, v); !cur.Done(); cur.Advance()) {
@@ -228,7 +231,7 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
     const auto process = [&](const MemChunk& part) {
       Rec(rest, [&] {
         for (TupleCount i = 0; i < part.size(); ++i) {
-          Bind(leaf.rel.schema(), part.tuple(i).data());
+          leaf_kernel.chunk_bind().Bind(part.tuple(i).data(), assignment_);
           on_result();
         }
       });
@@ -257,6 +260,9 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
     if (metrics::Registry* reg = dev_->metrics()) [[unlikely]] {
       reg->GetHistogram("emjoin_emit_batch_tuples")->Record(part.size());
     }
+    // The chunk holds whole light groups in the leaf's v order, and a
+    // re-planned half keeps that order, so line 27 can binary-search it.
+    assert(leaf_kernel.SortedByKey(part));
     const std::vector<Value> vals = part.DistinctValues(leaf_vcol);
 
     // R'(M1): neighbours semijoined with the chunk; v stays in the
@@ -274,9 +280,9 @@ void Executor::PeelLeaf(std::vector<LiveRel> rels,
 
     Rec(rest, [&] {
       // Line 27: find the chunk tuples matching the result's v-value.
-      const Value val = assignment_->ValueOf(v);
-      part.ForEachMatch(leaf_vcol, val, [&](storage::TupleRef t) {
-        Bind(leaf.rel.schema(), t.data());
+      const Value val = assignment_->values()[leaf_kernel.key_result_pos()];
+      leaf_kernel.ForEachSortedMatch(part, val, [&](const Value* t) {
+        leaf_kernel.chunk_bind().Bind(t, assignment_);
         on_result();
       });
     });

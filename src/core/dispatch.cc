@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "core/acyclic_join.h"
+#include "core/join_kernel.h"
 #include "core/reduce.h"
 #include "core/unbalanced5.h"
 #include "core/unbalanced7.h"
@@ -26,15 +27,18 @@ void NestedLoopWrap(const Relation& outer, storage::AttrId shared,
                     const std::function<void(const EmitFn&)>& run_inner) {
   extmem::Device* dev = outer.device();
   trace::Span span(dev, "nested_loop_wrap");
-  const std::uint32_t col = *outer.schema().PositionOf(shared);
+  // The outer chunk is in the relation's own order, not sorted by
+  // `shared`, so each inner result is matched by a linear scan.
+  const JoinKernel kernel(outer.schema(), storage::Schema({shared}),
+                          assignment->schema());
   extmem::FileReader reader(outer.range());
   storage::MemChunk chunk;
   while (storage::LoadChunk(reader, outer.schema(), dev, dev->M(), &chunk)) {
     span.Count("nl_chunks", 1);
     run_inner([&](std::span<const Value>) {
-      const Value val = assignment->ValueOf(shared);
-      chunk.ForEachMatch(col, val, [&](storage::TupleRef t) {
-        assignment->Bind(outer.schema(), t.data());
+      const Value val = assignment->values()[kernel.key_result_pos()];
+      kernel.ForEachMatch(chunk, &val, [&](const Value* t) {
+        kernel.chunk_bind().Bind(t, assignment);
         user_emit(assignment->values());
       });
     });

@@ -49,15 +49,12 @@ class Assignment {
 
   const ResultSchema& schema() const { return schema_; }
 
-  /// Binds every attribute of `phys` that occurs in the result schema to
-  /// the corresponding value of tuple `t`.
-  void Bind(const storage::Schema& phys, const Value* t) {
-    for (std::uint32_t i = 0; i < phys.arity(); ++i) {
-      const std::uint32_t pos = schema_.PositionOf(phys.attr(i));
-      if (pos < values_.size()) values_[pos] = t[i];
-    }
-  }
+  /// Sets the value at result position `pos`. Operators bind whole
+  /// tuples through a BindMap (core/join_kernel.h), which resolves the
+  /// positions once per operator.
+  void Set(std::uint32_t pos, Value v) { values_[pos] = v; }
 
+  /// Linear in the schema: for tests and set-up, not per-result loops.
   Value ValueOf(storage::AttrId a) const {
     return values_[schema_.PositionOf(a)];
   }

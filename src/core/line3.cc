@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "core/join_kernel.h"
 #include "core/pairwise.h"
 #include "core/reduce.h"
 #include "extmem/status.h"
@@ -39,6 +40,9 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
   const storage::Relation r2 = r2_in.SortedBy(v2);
   const storage::Relation r3 = r3_in.SortedBy(v3);
   const std::uint32_t r1_v2col = *r1.schema().PositionOf(v2);
+  // Light chunks of R1 are matched against R2(M1) ⋈ R3's results on v2.
+  const JoinKernel kernel(r1.schema(), storage::Schema({v2}),
+                          assignment->schema());
 
   // Lines 4–7: heavy values of v2 in R1.
   for (storage::GroupCursor cur(r1, v2); !cur.Done(); cur.Advance()) {
@@ -63,6 +67,9 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
   const auto process = [&](const storage::MemChunk& part) {
     trace::Span light_span(dev, "line3.light");
     light_span.Count("light_chunks", 1);
+    // Whole light groups of R1 in v2 order (a re-planned half keeps it),
+    // so lines 11–12 can binary-search the chunk.
+    assert(kernel.SortedByKey(part));
     const std::vector<Value> vals = part.DistinctValues(r1_v2col);
     // Line 9: semijoin R2(M1) = R2 ⋉ M1 (one scan; R1, R2 sorted by v2).
     const storage::Relation r2m = SemiJoinValues(r2, v2, vals);
@@ -71,9 +78,9 @@ void LineJoin3UnderAssignment(const storage::Relation& r1_in,
     // handles either way.
     SortMergeJoin(r2m, r3, assignment, [&](std::span<const Value>) {
       // Lines 11–12: combine with the matching R1 tuples in memory.
-      const Value val = assignment->ValueOf(v2);
-      part.ForEachMatch(r1_v2col, val, [&](storage::TupleRef t) {
-        assignment->Bind(r1.schema(), t.data());
+      const Value val = assignment->values()[kernel.key_result_pos()];
+      kernel.ForEachSortedMatch(part, val, [&](const Value* t) {
+        kernel.chunk_bind().Bind(t, assignment);
         guarded.fn()(assignment->values());
       });
     });

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "core/join_kernel.h"
 #include "extmem/sorter.h"
 #include "trace/tracer.h"
 
@@ -173,6 +174,14 @@ void LoomisWhitneyJoin(const std::vector<storage::Relation>& rels,
   for (const Relation& r : rels) parts.push_back(Partition(r, p));
 
   Assignment assignment(MakeResultSchema(rels));
+  // `bound` below holds one value per universe attribute, in universe
+  // order: bind it as a tuple over that schema.
+  const BindMap bind(Schema(universe), assignment.schema());
+  // Universe index of every column of every relation, resolved once.
+  std::vector<std::vector<std::size_t>> uidx(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (AttrId a : rels[i].schema().attrs()) uidx[i].push_back(attr_index(a));
+  }
 
   // Enumerate group assignments (g_0..g_{n-1}) odometer-style.
   std::vector<std::uint64_t> gs(n, 0);
@@ -183,9 +192,7 @@ void LoomisWhitneyJoin(const std::vector<storage::Relation>& rels,
     TupleCount total = 0;
     for (std::size_t i = 0; i < n && !any_empty; ++i) {
       std::vector<std::uint64_t> rel_gs;
-      for (AttrId a : rels[i].schema().attrs()) {
-        rel_gs.push_back(gs[attr_index(a)]);
-      }
+      for (std::size_t u : uidx[i]) rel_gs.push_back(gs[u]);
       const extmem::FileRange range = parts[i].CellRange(rel_gs);
       if (range.empty()) any_empty = true;
       total += range.size();
@@ -199,9 +206,7 @@ void LoomisWhitneyJoin(const std::vector<storage::Relation>& rels,
       for (std::size_t i = 0; i < n; ++i) {
         cell[i].clear();
         std::vector<std::uint64_t> rel_gs;
-        for (AttrId a : rels[i].schema().attrs()) {
-          rel_gs.push_back(gs[attr_index(a)]);
-        }
+        for (std::size_t u : uidx[i]) rel_gs.push_back(gs[u]);
         extmem::FileReader reader(parts[i].CellRange(rel_gs));
         while (!reader.Done()) {
           const std::span<const Value> block = reader.NextBlock();
@@ -228,6 +233,7 @@ void LoomisWhitneyJoin(const std::vector<storage::Relation>& rels,
       for (AttrId a : universe) {
         if (!rels[0].schema().Contains(a)) miss0 = a;
       }
+      const std::size_t miss0_u = attr_index(miss0);
       std::unordered_map<std::vector<Value>, std::vector<Value>, VecHash>
           rel1_index;
       {
@@ -258,32 +264,25 @@ void LoomisWhitneyJoin(const std::vector<storage::Relation>& rels,
       std::vector<Value> key, probe;
       for (const auto& t0 : cell[0]) {
         for (std::uint32_t c = 0; c < s0.arity(); ++c) {
-          bound[attr_index(s0.attr(c))] = t0[c];
+          bound[uidx[0][c]] = t0[c];
         }
         // rel1 key: its attrs except miss0, in schema order.
         key.clear();
         for (std::uint32_t c = 0; c < s1.arity(); ++c) {
-          if (s1.attr(c) != miss0) {
-            key.push_back(bound[attr_index(s1.attr(c))]);
-          }
+          if (s1.attr(c) != miss0) key.push_back(bound[uidx[1][c]]);
         }
         const auto it = rel1_index.find(key);
         if (it == rel1_index.end()) continue;
         for (Value m0 : it->second) {
-          bound[attr_index(miss0)] = m0;
+          bound[miss0_u] = m0;
           bool ok = true;
           for (std::size_t i = 2; i < n && ok; ++i) {
             probe.clear();
-            for (AttrId a : rels[i].schema().attrs()) {
-              probe.push_back(bound[attr_index(a)]);
-            }
+            for (std::size_t u : uidx[i]) probe.push_back(bound[u]);
             ok = member[i].count(probe) > 0;
           }
           if (!ok) continue;
-          for (std::size_t i = 0; i < universe.size(); ++i) {
-            const Value row[1] = {bound[i]};
-            assignment.Bind(Schema({universe[i]}), row);
-          }
+          bind.Bind(bound.data(), &assignment);
           emit(assignment.values());
         }
       }

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "core/join_kernel.h"
 #include "extmem/status.h"
 #include "trace/tracer.h"
 
@@ -10,27 +11,34 @@ namespace emjoin::core {
 namespace {
 
 // Emits all combinations of a memory-resident chunk with one streamed
-// tuple that agree on the chunk-vs-tuple shared attributes.
-void EmitChunkMatches(const storage::MemChunk& chunk,
-                      const storage::Schema& streamed_schema, const Value* t,
-                      Assignment* base, const EmitFn& emit) {
-  for (TupleCount i = 0; i < chunk.size(); ++i) {
-    const storage::TupleRef c = chunk.tuple(i);
-    if (!storage::TuplesJoinable(c, chunk.schema(),
-                                 {t, streamed_schema.arity()},
-                                 streamed_schema)) {
-      continue;
+// tuple that agree on the chunk-vs-tuple shared attributes. The streamed
+// tuple is bound once, at its first match; the two sides agree on every
+// position they share, so the emitted rows are those of binding both
+// per match.
+void EmitChunkMatches(const JoinKernel& kernel, const storage::MemChunk& chunk,
+                      const Value* t, Assignment* base, const EmitFn& emit) {
+  bool streamed_bound = false;
+  kernel.ForEachMatch(chunk, t, [&](const Value* c) {
+    if (!streamed_bound) {
+      kernel.streamed_bind().Bind(t, base);
+      streamed_bound = true;
     }
-    base->Bind(chunk.schema(), c.data());
-    base->Bind(streamed_schema, t);
+    kernel.chunk_bind().Bind(c, base);
     emit(base->values());
-  }
+  });
 }
 
 }  // namespace
 
 void BlockNestedLoopJoin(const Relation& outer, const Relation& inner,
                          Assignment* base, const EmitFn& emit) {
+  const JoinKernel kernel(outer.schema(), inner.schema(), base->schema());
+  BlockNestedLoopJoin(outer, inner, kernel, base, emit);
+}
+
+void BlockNestedLoopJoin(const Relation& outer, const Relation& inner,
+                         const JoinKernel& kernel, Assignment* base,
+                         const EmitFn& emit) {
   extmem::Device* dev = outer.device();
   trace::Count(dev, "bnl_joins");
   GuardedEmit guarded(dev, emit);
@@ -42,7 +50,7 @@ void BlockNestedLoopJoin(const Relation& outer, const Relation& inner,
       const std::span<const Value> block = inner_reader.NextBlock();
       for (const Value* t = block.data(); t != block.data() + block.size();
            t += iw) {
-        EmitChunkMatches(chunk, inner.schema(), t, base, guarded.fn());
+        EmitChunkMatches(kernel, chunk, t, base, guarded.fn());
       }
     }
   };
@@ -81,6 +89,9 @@ void SortMergeJoin(const Relation& r1, const Relation& r2, Assignment* base,
   const Relation s2 = r2.SortedBy(v);
   extmem::Device* dev = r1.device();
   const TupleCount m = dev->M();
+  // Either side can be the loaded one, value by value.
+  const JoinKernel k12(r1.schema(), r2.schema(), base->schema());
+  const JoinKernel k21(r2.schema(), r1.schema(), base->schema());
 
   storage::GroupCursor c1(s1, v);
   storage::GroupCursor c2(s2, v);
@@ -97,17 +108,19 @@ void SortMergeJoin(const Relation& r1, const Relation& r2, Assignment* base,
     const Relation g2 = c2.group();
     if (g1.size() >= m && g2.size() >= m) {
       // Heavy on both sides: block nested loop within the value.
-      BlockNestedLoopJoin(g1, g2, base, emit);
+      BlockNestedLoopJoin(g1, g2, k12, base, emit);
     } else {
       // Load the lighter group, stream the other.
-      const Relation& small = g1.size() <= g2.size() ? g1 : g2;
-      const Relation& large = g1.size() <= g2.size() ? g2 : g1;
+      const bool first_small = g1.size() <= g2.size();
+      const Relation& small = first_small ? g1 : g2;
+      const Relation& large = first_small ? g2 : g1;
+      const JoinKernel& kernel = first_small ? k12 : k21;
       if (dev->DegradedChunkCap(small.size()) < small.size()) {
         // Degraded: the light group no longer fits the shrunken budget.
         // Fall back to the chunked nested loop, which re-plans its own
         // fan-in. Fault-free the cap equals small.size() and this branch
         // is never taken, so golden counts are unchanged.
-        BlockNestedLoopJoin(small, large, base, emit);
+        BlockNestedLoopJoin(small, large, kernel, base, emit);
       } else {
         extmem::FileReader small_reader(small.range());
         storage::MemChunk chunk;
@@ -119,7 +132,7 @@ void SortMergeJoin(const Relation& r1, const Relation& r2, Assignment* base,
           const std::span<const Value> block = large_reader.NextBlock();
           for (const Value* t = block.data(); t != block.data() + block.size();
                t += lw) {
-            EmitChunkMatches(chunk, large.schema(), t, base, emit);
+            EmitChunkMatches(kernel, chunk, t, base, emit);
           }
         }
       }

@@ -2,6 +2,7 @@
 #define EMJOIN_CORE_PAIRWISE_H_
 
 #include "core/emit.h"
+#include "core/join_kernel.h"
 #include "storage/relation.h"
 
 namespace emjoin::core {
@@ -18,6 +19,14 @@ using storage::Relation;
 /// (pass a fresh Assignment at top level).
 void BlockNestedLoopJoin(const Relation& outer, const Relation& inner,
                          Assignment* base, const EmitFn& emit);
+
+/// The same join with the kernel resolved by the caller: `kernel` must be
+/// JoinKernel(outer.schema(), inner.schema(), base->schema()). Callers
+/// that run many nested loops over the same schemas (Algorithm 4 runs
+/// one per R3 tuple) build it once instead of once per call.
+void BlockNestedLoopJoin(const Relation& outer, const Relation& inner,
+                         const JoinKernel& kernel, Assignment* base,
+                         const EmitFn& emit);
 
 /// Instance-optimal 2-relation join (§3): sort both relations on their
 /// (single) shared attribute and merge; a value heavy on both sides is

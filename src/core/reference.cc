@@ -16,21 +16,29 @@ void Enumerate(const std::vector<storage::Relation>& rels,
                const std::function<void(std::span<const Value>)>& yield) {
   std::vector<Value> assignment(schema.attrs.size(), 0);
   std::vector<bool> bound(schema.attrs.size(), false);
+  // Result position of every column of every relation, resolved once.
+  std::vector<std::vector<std::uint32_t>> positions;
+  positions.reserve(rels.size());
+  for (const storage::Relation& rel : rels) {
+    std::vector<std::uint32_t>& pos = positions.emplace_back();
+    for (storage::AttrId a : rel.schema().attrs()) {
+      pos.push_back(schema.PositionOf(a));
+    }
+  }
 
   std::function<void(std::size_t)> recurse = [&](std::size_t level) {
     if (level == rels.size()) {
       yield(assignment);
       return;
     }
-    const storage::Relation& rel = rels[level];
-    const storage::Schema& phys = rel.schema();
-    const extmem::FileRange& range = rel.range();
+    const std::vector<std::uint32_t>& cols = positions[level];
+    const extmem::FileRange& range = rels[level].range();
     for (TupleCount i = 0; i < range.size(); ++i) {
       const Value* t = range.RawTuple(i);
       bool compatible = true;
       std::vector<std::uint32_t> newly;
-      for (std::uint32_t c = 0; c < phys.arity(); ++c) {
-        const std::uint32_t pos = schema.PositionOf(phys.attr(c));
+      for (std::uint32_t c = 0; c < cols.size(); ++c) {
+        const std::uint32_t pos = cols[c];
         if (!bound[pos]) {
           assignment[pos] = t[c];
           bound[pos] = true;

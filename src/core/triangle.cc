@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/join_kernel.h"
 #include "core/pairwise.h"
 #include "extmem/sorter.h"
 #include "trace/tracer.h"
@@ -179,7 +180,9 @@ void TriangleJoin(const Relation& r1, const Relation& r2, const Relation& r3,
   const PartitionedRelation p3 = Partition(s3, p);
 
   Assignment assignment(MakeResultSchema({r1, r2, r3}));
-  const Schema sch1({a, b}), sch2({a, c}), sch3({b, c});
+  const BindMap bind1(Schema({a, b}), assignment.schema());
+  const BindMap bind2(Schema({a, c}), assignment.schema());
+  const BindMap bind3(Schema({b, c}), assignment.schema());
   const TupleCount cap = std::max<TupleCount>(1, m / 3);
 
   for (std::uint64_t ga = 0; ga < p; ++ga) {
@@ -226,9 +229,9 @@ void TriangleJoin(const Relation& r1, const Relation& r2, const Relation& r3,
                   const Value row1[2] = {va, vb};
                   const Value row2[2] = {va, vc};
                   const Value row3[2] = {vb, vc};
-                  assignment.Bind(sch1, row1);
-                  assignment.Bind(sch2, row2);
-                  assignment.Bind(sch3, row3);
+                  bind1.Bind(row1, &assignment);
+                  bind2.Bind(row2, &assignment);
+                  bind3.Bind(row3, &assignment);
                   emit(assignment.values());
                 }
               }
@@ -267,6 +270,8 @@ void TriangleViaMaterialization(const Relation& r1, const Relation& r2,
   const std::uint32_t tc = *r3s.schema().PositionOf(c);
 
   Assignment assignment(MakeResultSchema({r1, r2, r3}));
+  const BindMap bind_joined(js.schema(), assignment.schema());
+  const BindMap bind3(r3s.schema(), assignment.schema());
   extmem::FileReader jr(js.range());
   extmem::FileReader tr(r3s.range());
   // R3 has at most one tuple per (b, c); advance it lazily.
@@ -281,8 +286,8 @@ void TriangleViaMaterialization(const Relation& r1, const Relation& r2,
     if (tr.Done()) break;
     const Value* t3 = tr.Peek();
     if (t3[tb] == key[0] && t3[tc] == key[1]) {
-      assignment.Bind(js.schema(), row);
-      assignment.Bind(r3s.schema(), t3);
+      bind_joined.Bind(row, &assignment);
+      bind3.Bind(t3, &assignment);
       emit(assignment.values());
     }
   }

@@ -103,6 +103,9 @@ void LineJoinUnbalanced5UnderAssignment(
   KeyedScanner s_scan(ss, ColsOf(ss.schema(), keys));
   KeyedScanner t_scan(ts, ColsOf(ts.schema(), keys));
   const std::vector<std::uint32_t> r3_cols = ColsOf(r3s.schema(), keys);
+  // One kernel for every per-tuple nested loop: each S(t), T(t) pair is
+  // a slice of ss and ts, so the schemas never change.
+  const JoinKernel kernel(ss.schema(), ts.schema(), assignment->schema());
 
   const std::uint32_t r3w = r3s.schema().arity();
   extmem::FileReader r3_reader(r3s.range());
@@ -117,7 +120,7 @@ void LineJoinUnbalanced5UnderAssignment(
       if (t_t.empty()) continue;
       // Every pair matches (the slices agree on v3, v4, the only shared
       // attributes); S(t) has size ≤ N1, T(t) ≤ N5.
-      BlockNestedLoopJoin(s_t, t_t, assignment, guarded.fn());
+      BlockNestedLoopJoin(s_t, t_t, kernel, assignment, guarded.fn());
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "core/join_kernel.h"
 #include "core/pairwise.h"
 #include "core/reduce.h"
 #include "query/join_tree.h"
@@ -51,13 +52,14 @@ YannakakisReport YannakakisJoin(const std::vector<storage::Relation>& rels,
   GuardedEmit guarded(rels.front().device(), emit);
   std::uint64_t emitted = 0;
   Assignment assignment(MakeResultSchema(rels));
+  const BindMap bind(final_rel.schema(), assignment.schema());
   const std::uint32_t w = final_rel.schema().arity();
   extmem::FileReader reader(final_rel.range());
   while (!reader.Done()) {
     const std::span<const Value> block = reader.NextBlock();
     for (const Value* t = block.data(); t != block.data() + block.size();
          t += w) {
-      assignment.Bind(final_rel.schema(), t);
+      bind.Bind(t, &assignment);
       guarded.fn()(assignment.values());
       ++emitted;
     }

@@ -114,14 +114,6 @@ std::vector<Tuple> Relation::ReadAll() const {
   return out;
 }
 
-void MemChunk::ForEachMatch(std::uint32_t col, Value val,
-                            const std::function<void(TupleRef)>& fn) const {
-  for (TupleCount i = 0; i < count_; ++i) {
-    TupleRef t = tuple(i);
-    if (t[col] == val) fn(t);
-  }
-}
-
 std::vector<Value> MemChunk::DistinctValues(std::uint32_t col) const {
   std::vector<Value> vals;
   vals.reserve(count_);

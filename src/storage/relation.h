@@ -117,10 +117,6 @@ class MemChunk {
   /// spills (FileWriter::AppendBlock) and re-plan helpers.
   std::span<const Value> data() const { return data_; }
 
-  /// Calls `fn` for every tuple whose column `col` equals `val`.
-  void ForEachMatch(std::uint32_t col, Value val,
-                    const std::function<void(TupleRef)>& fn) const;
-
   /// Distinct values in column `col` (unsorted chunk OK).
   std::vector<Value> DistinctValues(std::uint32_t col) const;
 

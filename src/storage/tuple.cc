@@ -27,15 +27,6 @@ Tuple ProjectTuple(TupleRef tuple, const Schema& from, const Schema& to) {
   return out;
 }
 
-bool TuplesJoinable(TupleRef a, const Schema& schema_a, TupleRef b,
-                    const Schema& schema_b) {
-  for (std::uint32_t i = 0; i < schema_a.arity(); ++i) {
-    const auto pos = schema_b.PositionOf(schema_a.attr(i));
-    if (pos.has_value() && a[i] != b[*pos]) return false;
-  }
-  return true;
-}
-
 Tuple ConcatTuples(TupleRef a, const Schema& schema_a, TupleRef b,
                    const Schema& schema_b) {
   Tuple out(a.begin(), a.end());

@@ -23,11 +23,6 @@ std::string TupleToString(TupleRef tuple);
 /// Every attribute of `to` must be present in `from`.
 Tuple ProjectTuple(TupleRef tuple, const Schema& from, const Schema& to);
 
-/// True if `a` (per schema_a) and `b` (per schema_b) agree on every
-/// attribute they share.
-bool TuplesJoinable(TupleRef a, const Schema& schema_a, TupleRef b,
-                    const Schema& schema_b);
-
 /// Concatenates the values of `a` with the values of `b` restricted to
 /// attributes not already in `schema_a`; the result is laid out per
 /// `JoinedSchema(schema_a, schema_b)`.

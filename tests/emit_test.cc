@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/join_kernel.h"
 #include "tests/test_util.h"
 
 namespace emjoin::core {
@@ -21,7 +22,7 @@ TEST(AssignmentTest, BindWritesAtSchemaPositions) {
   Assignment a(ResultSchema{{10, 20, 30}});
   const storage::Schema phys({20, 10});
   const Value t[2] = {200, 100};
-  a.Bind(phys, t);
+  BindMap(phys, a.schema()).Bind(t, &a);
   EXPECT_EQ(a.ValueOf(10), 100u);
   EXPECT_EQ(a.ValueOf(20), 200u);
   EXPECT_EQ(a.values().size(), 3u);
@@ -31,7 +32,7 @@ TEST(AssignmentTest, BindIgnoresAttributesOutsideSchema) {
   Assignment a(ResultSchema{{1}});
   const storage::Schema phys({1, 2});
   const Value t[2] = {5, 6};
-  a.Bind(phys, t);  // attr 2 silently dropped
+  BindMap(phys, a.schema()).Bind(t, &a);  // attr 2 silently dropped
   EXPECT_EQ(a.ValueOf(1), 5u);
 }
 
@@ -41,8 +42,8 @@ TEST(AssignmentTest, LaterBindsOverwrite) {
   const storage::Schema s2({1, 2});
   const Value t1[1] = {7};
   const Value t2[2] = {9, 11};
-  a.Bind(s1, t1);
-  a.Bind(s2, t2);
+  BindMap(s1, a.schema()).Bind(t1, &a);
+  BindMap(s2, a.schema()).Bind(t2, &a);
   EXPECT_EQ(a.ValueOf(1), 9u);
   EXPECT_EQ(a.ValueOf(2), 11u);
 }

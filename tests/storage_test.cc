@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/join_kernel.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
@@ -33,8 +34,9 @@ TEST(TupleTest, ProjectAndJoinable) {
   const Schema other({2, 4});
   const Tuple u_match = {20, 99};
   const Tuple u_mismatch = {21, 99};
-  EXPECT_TRUE(TuplesJoinable(t, from, u_match, other));
-  EXPECT_FALSE(TuplesJoinable(t, from, u_mismatch, other));
+  const core::JoinKernel kernel(from, other, core::ResultSchema{});
+  EXPECT_TRUE(kernel.Joinable(t.data(), u_match.data()));
+  EXPECT_FALSE(kernel.Joinable(t.data(), u_mismatch.data()));
 }
 
 TEST(TupleTest, ConcatAndJoinedSchema) {
@@ -124,7 +126,10 @@ TEST(MemChunkTest, AppendMatchDistinct) {
   EXPECT_EQ(dev.gauge().resident(), 3u);
 
   TupleCount matches = 0;
-  chunk.ForEachMatch(0, 1, [&](TupleRef) { ++matches; });
+  const Value key = 1;
+  const core::JoinKernel kernel(chunk.schema(), Schema({0}),
+                                core::ResultSchema{});
+  kernel.ForEachMatch(chunk, &key, [&](const Value*) { ++matches; });
   EXPECT_EQ(matches, 2u);
   EXPECT_EQ(chunk.DistinctValues(0), (std::vector<Value>{1, 2}));
   chunk.Clear();

@@ -57,7 +57,6 @@
 //   74  I/O fault retries exhausted
 //   75  enforced memory budget exceeded
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -109,19 +108,24 @@ int ParseFlags(int argc, char** argv, int start, CommonFlags* out,
                obs::FrontEnd* observers) {
   for (int i = start; i < argc; ++i) {
     const std::string arg = argv[i];
+    // A size flag's value: a whole-string unsigned integer.
     auto next = [&](TupleCount* dst) {
-      if (i + 1 >= argc) return false;
-      *dst = std::strtoull(argv[++i], nullptr, 10);
-      return true;
+      if (i + 1 >= argc) return FailUsage("missing value after " + arg);
+      const std::string value = argv[++i];
+      if (!obs::ParseU64(value, dst)) {
+        return FailUsage("bad value '" + value + "' after " + arg +
+                         ": expected an unsigned integer");
+      }
+      return 0;
     };
     int consumed = observers->ParseFlag(arg);
     if (consumed == 0) consumed = obs::ParseRunOption(arg, &out->run);
     if (consumed < 0) return kExitUsage;
     if (consumed > 0) continue;
     if (arg == "--memory") {
-      if (!next(&out->memory)) return FailUsage("missing value after " + arg);
+      if (const int code = next(&out->memory); code != 0) return code;
     } else if (arg == "--block") {
-      if (!next(&out->block)) return FailUsage("missing value after " + arg);
+      if (const int code = next(&out->block); code != 0) return code;
     } else if (arg == "--print") {
       out->print = true;
     } else if (arg == "--stats") {
@@ -360,8 +364,11 @@ int CmdPlan(const CommonFlags& flags) {
     }
     auto schema = storage::ParseSchemaSpec(spec.substr(0, colon), &names);
     if (!schema.ok()) return Fail(schema.status());
-    const TupleCount size =
-        std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
+    TupleCount size = 0;
+    if (!obs::ParseU64(spec.substr(colon + 1), &size)) {
+      return FailUsage("bad size in '" + spec +
+                       "': expected an unsigned integer");
+    }
     if (size == 0) {
       return Fail(extmem::Status(extmem::StatusCode::kInvalidInput,
                                  "bad size in '" + spec + "'"));

@@ -25,10 +25,11 @@
 // Exit codes follow the emjoin_cli contract (0 ok, 64 usage, 66 no
 // input, 69/70/73/74/75 per typed Status).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "extmem/device.h"
@@ -177,6 +178,22 @@ int main(int argc, char** argv) {
     const auto value = [&arg](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
+    // A numeric flag's value: a whole-string unsigned integer that fits
+    // the option's type.
+    const auto number = [&](const char* prefix, auto* dst) {
+      using T = std::remove_pointer_t<decltype(dst)>;
+      std::uint64_t v = 0;
+      if (!obs::ParseU64(value(prefix), &v) ||
+          v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+        std::fprintf(stderr,
+                     "emjoin_export: bad value in %s: expected an unsigned "
+                     "integer\n",
+                     arg.c_str());
+        return false;
+      }
+      *dst = static_cast<T>(v);
+      return true;
+    };
     if (arg.rfind("--check-prom=", 0) == 0) {
       return CheckPromFile(value("--check-prom="));
     }
@@ -187,16 +204,15 @@ int main(int argc, char** argv) {
     if (arg.rfind("--workload=", 0) == 0) {
       opt.workload = value("--workload=");
     } else if (arg.rfind("--n=", 0) == 0) {
-      opt.n = std::strtoull(value("--n=").c_str(), nullptr, 10);
+      if (!number("--n=", &opt.n)) return kExitUsage;
     } else if (arg.rfind("--petals=", 0) == 0) {
-      opt.petals = static_cast<std::uint32_t>(
-          std::strtoul(value("--petals=").c_str(), nullptr, 10));
+      if (!number("--petals=", &opt.petals)) return kExitUsage;
     } else if (arg.rfind("--memory=", 0) == 0) {
-      opt.memory = std::strtoull(value("--memory=").c_str(), nullptr, 10);
+      if (!number("--memory=", &opt.memory)) return kExitUsage;
     } else if (arg.rfind("--block=", 0) == 0) {
-      opt.block = std::strtoull(value("--block=").c_str(), nullptr, 10);
+      if (!number("--block=", &opt.block)) return kExitUsage;
     } else if (arg.rfind("--loops=", 0) == 0) {
-      opt.loops = std::atoi(value("--loops=").c_str());
+      if (!number("--loops=", &opt.loops)) return kExitUsage;
     } else {
       std::fprintf(stderr,
                    "emjoin_export: unknown flag %s\n"

@@ -21,7 +21,10 @@ using storage::Relation;
 // combined with the chunk tuples matching on `shared` (the attribute
 // joining `outer` to the inner query). This is the paper's "nested-loop
 // join with R_k as the outer relation and <sub-join> as the inner
-// relation": the inner join re-runs once per outer chunk.
+// relation": the inner join re-runs once per outer chunk. Like
+// BlockNestedLoopJoin, it re-polls the chunk cap per chunk and re-plans
+// a chunk whose processing trips the budget; the guard suppresses the
+// rows a re-planned chunk derives again.
 void NestedLoopWrap(const Relation& outer, storage::AttrId shared,
                     Assignment* assignment, const EmitFn& user_emit,
                     const std::function<void(const EmitFn&)>& run_inner) {
@@ -31,17 +34,30 @@ void NestedLoopWrap(const Relation& outer, storage::AttrId shared,
   // `shared`, so each inner result is matched by a linear scan.
   const JoinKernel kernel(outer.schema(), storage::Schema({shared}),
                           assignment->schema());
-  extmem::FileReader reader(outer.range());
-  storage::MemChunk chunk;
-  while (storage::LoadChunk(reader, outer.schema(), dev, dev->M(), &chunk)) {
-    span.Count("nl_chunks", 1);
+  GuardedEmit guarded(dev, user_emit);
+  const auto process = [&](const storage::MemChunk& chunk) {
     run_inner([&](std::span<const Value>) {
       const Value val = assignment->values()[kernel.key_result_pos()];
       kernel.ForEachMatch(chunk, &val, [&](const Value* t) {
         kernel.chunk_bind().Bind(t, assignment);
-        user_emit(assignment->values());
+        guarded.fn()(assignment->values());
       });
     });
+  };
+  extmem::FileReader reader(outer.range());
+  while (!reader.Done()) {
+    const TupleCount cap = dev->DegradedChunkCap(dev->M());
+    storage::MemChunk chunk;
+    auto trip = extmem::BudgetTripOf([&] {
+      static_cast<void>(
+          storage::LoadChunk(reader, outer.schema(), dev, cap, &chunk));
+    });
+    if (trip.has_value() && chunk.empty()) {
+      extmem::ThrowStatus(*std::move(trip));
+    }
+    if (chunk.empty()) continue;
+    span.Count("nl_chunks", 1);
+    storage::ProcessChunkWithReplan(dev, &chunk, outer.schema(), process);
   }
 }
 

@@ -1,13 +1,18 @@
 #include "parallel/parallel_join.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <utility>
 
+#include "core/thread_annotations.h"
 #include "extmem/device.h"
 #include "metrics/collect.h"
 #include "metrics/registry.h"
@@ -29,15 +34,223 @@ const char* InternShardName(std::uint32_t shard) {
   return names.insert("shard " + std::to_string(shard)).first->c_str();
 }
 
-// One shard's task state: the output rows it buffered (replayed in shard
-// order at the barrier) and its typed outcome. Each worker touches only
-// its own ShardRun and its own shard-local substrate, so the pool needs
-// no synchronization around these.
+// The hand-off's two sizes. A worker hands its shard's rows over in
+// batches of kBatchRows; a shard may queue at most kMaxQueuedBatches of
+// them ahead of the consumer, and all shards behind the head of the
+// drain order share (W - 1) * kMaxQueuedBatches, so at most
+// W * kMaxQueuedBatches batches are queued at once.
+constexpr std::uint64_t kBatchRows = 1024;
+constexpr std::size_t kMaxQueuedBatches = 4;
+
+// Ordered hand-off from the shard workers to the orchestrating thread.
+// Each shard has its own FIFO lane of row batches. The consumer drains
+// lane 0 while shards still run, then lane 1, and so on, so rows reach
+// `emit` in shard order without a barrier. Backpressure bounds the
+// queued rows: a worker whose lane (or the shared share of the lanes
+// behind the head) is full blocks until the consumer catches up. The
+// head shard is always running or finished — WorkerPool dispatches in
+// FIFO order and every shard before the head has closed — so the drain
+// cannot deadlock.
+//
+// Waits go through condition_variable_any on mu_ itself, under the
+// lock_guard that holds it: the thread-safety analysis then sees mu_
+// held across every wait loop and needs no opt-out.
+class ShardStream {
+ public:
+  struct Batch {
+    std::vector<Value> values;  // row-major
+    std::uint64_t rows = 0;
+  };
+
+  ShardStream(std::uint32_t shards, std::uint32_t workers)
+      : lanes_(shards),
+        behind_head_cap_(std::size_t{workers - 1} * kMaxQueuedBatches) {}
+
+  // Worker side: queues `batch` on `shard`'s lane, blocking while there
+  // is no room. False (and the batch is dropped) once the stream is
+  // aborted.
+  bool Push(std::uint32_t shard, Batch batch) EXCLUDES(mu_) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    while (!aborted_ && !HasRoom(shard)) space_cv_.wait(mu_);
+    if (aborted_) return false;
+    queued_rows_ += batch.rows;
+    peak_rows_ = std::max(peak_rows_, queued_rows_);
+    ++queued_batches_;
+    lanes_[shard].batches.push_back(std::move(batch));
+    if (shard == head_) data_cv_.notify_one();
+    return true;
+  }
+
+  // Worker side: `shard` pushes nothing more. Everything the worker
+  // wrote before Close is visible to the consumer once Next returns
+  // false for this shard.
+  void Close(std::uint32_t shard) EXCLUDES(mu_) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    lanes_[shard].closed = true;
+    if (shard == head_) data_cv_.notify_one();
+  }
+
+  // Consumer side: makes `shard` the head and waits for its next batch.
+  // False once the shard is closed and drained, or the stream aborted.
+  bool Next(std::uint32_t shard, Batch* out) EXCLUDES(mu_) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (shard != head_) {
+      head_ = shard;
+      space_cv_.notify_all();  // the new head's lane leaves the shared share
+    }
+    Lane& lane = lanes_[shard];
+    while (!aborted_ && lane.batches.empty() && !lane.closed) {
+      data_cv_.wait(mu_);
+    }
+    if (aborted_ || lane.batches.empty()) return false;
+    *out = std::move(lane.batches.front());
+    lane.batches.pop_front();
+    queued_rows_ -= out->rows;
+    --queued_batches_;
+    space_cv_.notify_all();
+    return true;
+  }
+
+  // Wakes every blocked worker; later pushes fail and their rows drop.
+  void Abort() EXCLUDES(mu_) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    aborted_ = true;
+    space_cv_.notify_all();
+    data_cv_.notify_all();
+  }
+
+  bool aborted() const EXCLUDES(mu_) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return aborted_;
+  }
+
+  std::uint64_t peak_rows() const EXCLUDES(mu_) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return peak_rows_;
+  }
+
+ private:
+  struct Lane {
+    std::deque<Batch> batches;
+    bool closed = false;
+  };
+
+  bool HasRoom(std::uint32_t shard) const REQUIRES(mu_) {
+    if (lanes_[shard].batches.size() >= kMaxQueuedBatches) return false;
+    if (shard == head_) return true;
+    return queued_batches_ - lanes_[head_].batches.size() < behind_head_cap_;
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable_any space_cv_ WAITS_ON(mu_);  // room to push
+  std::condition_variable_any data_cv_ WAITS_ON(mu_);   // head has a batch
+  std::vector<Lane> lanes_ GUARDED_BY(mu_);
+  std::uint32_t head_ GUARDED_BY(mu_) = 0;
+  std::size_t queued_batches_ GUARDED_BY(mu_) = 0;
+  std::uint64_t queued_rows_ GUARDED_BY(mu_) = 0;
+  std::uint64_t peak_rows_ GUARDED_BY(mu_) = 0;
+  bool aborted_ GUARDED_BY(mu_) = false;
+  const std::size_t behind_head_cap_;
+};
+
+// One shard's result: its row count and typed outcome. Only the shard's
+// worker writes these; the orchestrator reads them after the shard has
+// closed its lane (or, on the manifest path, after the pool's barrier).
 struct ShardRun {
-  std::vector<Value> buffer;
   std::uint64_t rows = 0;
   std::optional<extmem::Result<core::AutoJoinReport>> outcome;
 };
+
+// Hands the full `batch` to the consumer and starts a new one. Throws
+// once the stream is aborted; TryJoinAuto turns that into the shard's
+// Status, which never decides the query's (an earlier shard or the
+// consumer did).
+void FlushBatch(std::uint32_t shard, std::size_t width, ShardStream* stream,
+                ShardStream::Batch* batch) {
+  ShardStream::Batch full = std::exchange(*batch, {});
+  batch->values.reserve(kBatchRows * width);
+  if (!stream->Push(shard, std::move(full))) {
+    extmem::ThrowStatus(extmem::Status(extmem::StatusCode::kInternal,
+                                       "shard output stream aborted"));
+  }
+}
+
+// Shard `shard`'s task: the dispatcher over its fragments on its own
+// device. Without a manifest (`child` null) its rows stream through
+// `stream`, whose lane it closes last; with one they are journaled into
+// the child manifest, replayed at the barrier. TryJoinAuto converts
+// every failure into a Status, so no exception crosses the thread
+// boundary.
+void RunShard(std::uint32_t shard, std::size_t width,
+              const std::vector<storage::Relation>& shard_rels,
+              extmem::Device* dev, recover::QueryManifest* child,
+              ShardStream* stream, ShardRun* run) {
+  const auto lifecycle = [dev](extmem::ObsEventKind kind,
+                               std::uint64_t outcome) {
+    if (extmem::IoEventSink* sink = dev->events()) {
+      sink->OnEvent(extmem::ObsEvent{kind, "shard", outcome});
+    }
+  };
+  const auto finish = [&](bool ok) {
+    lifecycle(extmem::ObsEventKind::kShardFinish, ok ? 1 : 0);
+    if (child == nullptr) stream->Close(shard);
+  };
+  lifecycle(extmem::ObsEventKind::kShardStart, 0);
+  if (child == nullptr && stream->aborted()) {
+    // An earlier shard failed or the consumer threw: skip the work.
+    run->outcome = extmem::Status(extmem::StatusCode::kInternal,
+                                  "shard skipped: output stream aborted");
+    finish(false);
+    return;
+  }
+  if (child != nullptr && child->PhaseCompleted("join")) {
+    // This shard finished in a prior attempt: zero-I/O resume — its rows
+    // come out of the child journal at the barrier.
+    run->rows = child->journal().rows();
+    run->outcome = core::AutoJoinReport{
+        "resume", "shard join already completed in manifest"};
+    finish(true);
+    return;
+  }
+  if (std::any_of(shard_rels.begin(), shard_rels.end(),
+                  [](const storage::Relation& r) { return r.empty(); })) {
+    // An empty fragment empties the whole shard-local join; skip the
+    // operator instead of paying its fixed I/O for zero rows.
+    if (child != nullptr) child->MarkPhase("join");
+    run->outcome = core::AutoJoinReport{
+        "empty-shard", "an input fragment is empty on this shard"};
+    finish(true);
+    return;
+  }
+  if (child != nullptr) {
+    // Rows a prior interrupted attempt already journaled are suppressed
+    // here and recovered from the journal at the barrier instead.
+    run->outcome = core::TryJoinAuto(
+        shard_rels, core::JournaledEmit(&child->journal(),
+                                        [](std::span<const Value>) {}));
+    if (run->outcome->ok()) {
+      child->MarkPhase("join");
+      run->rows = child->journal().rows();
+    }
+    finish(run->outcome->ok());
+    return;
+  }
+  ShardStream::Batch batch;
+  batch.values.reserve(kBatchRows * width);
+  run->outcome = core::TryJoinAuto(
+      shard_rels, [&](std::span<const Value> row) {
+        batch.values.insert(batch.values.end(), row.begin(), row.end());
+        ++run->rows;
+        if (++batch.rows == kBatchRows) {
+          FlushBatch(shard, width, stream, &batch);
+        }
+      });
+  // The last partial batch goes out even after a failure: the consumer
+  // sees every row the shard emitted before failing, as in TryJoinAuto.
+  // A push into an aborted stream just drops it.
+  if (batch.rows > 0) static_cast<void>(stream->Push(shard, std::move(batch)));
+  finish(run->outcome->ok());
+}
 
 }  // namespace
 
@@ -89,10 +302,11 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
 
   // Shard-local substrate: each shard owns a Device with budget
   // max(M/K, B), plus its own Tracer / Registry / FaultInjector when the
-  // corresponding sink is active on the source. Nothing mutable is
-  // shared across shards, which is what makes the worker pool safe and
-  // the merged report deterministic. Declared before the fragments so
-  // relations die before the devices backing their files.
+  // corresponding sink is active on the source. Nothing mutable but the
+  // output hand-off is shared across shards, which is what makes the
+  // worker pool safe and the merged report deterministic. Declared
+  // before the fragments so relations die before the devices backing
+  // their files.
   std::vector<std::unique_ptr<extmem::Device>> devices;
   std::vector<std::unique_ptr<trace::Tracer>> tracers(k);
   std::vector<std::unique_ptr<metrics::Registry>> registries(k);
@@ -143,76 +357,58 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
       std::move(partitioned).value();
   report.partition_io = src->stats() - src_before;
 
+  // Without a manifest, each shard streams its rows through the hand-off
+  // and the orchestrator emits them in shard order while shards still
+  // run. With one, each shard journals its rows into its child manifest
+  // and the journals are replayed at the barrier, all or nothing.
+  const std::size_t width = core::MakeResultSchema(rels).attrs.size();
   std::vector<ShardRun> runs(k);
+  ShardStream stream(k, report.workers);
+  std::optional<extmem::Status> failure;
+  std::exception_ptr thrown;  // by `emit`, rethrown once the pool joined
   {
     WorkerPool pool(report.workers);
-    for (std::uint32_t s = 0; s < k; ++s) {
-      pool.Submit([s, &runs, &fragments, &raw_devices, &children] {
-        ShardRun& run = runs[s];
-        extmem::Device* dev = raw_devices[s];
-        recover::QueryManifest* child = children[s];
-        const auto emit_lifecycle = [dev](extmem::ObsEventKind kind,
-                                          std::uint64_t outcome) {
-          if (extmem::IoEventSink* sink = dev->events()) {
-            sink->OnEvent(extmem::ObsEvent{kind, "shard", outcome});
+    try {
+      for (std::uint32_t s = 0; s < k; ++s) {
+        pool.Submit([s, width, &runs, &fragments, &raw_devices, &children,
+                     &stream] {
+          RunShard(s, width, fragments[s], raw_devices[s], children[s],
+                   &stream, &runs[s]);
+        });
+      }
+      if (manifest != nullptr) {
+        pool.Wait();
+        // First failing shard (in shard order, not completion order)
+        // decides the query's Status; nothing has been emitted then.
+        for (std::uint32_t s = 0; s < k && !failure.has_value(); ++s) {
+          if (!runs[s].outcome->ok()) failure = runs[s].outcome->status();
+        }
+      } else {
+        // Drain the lanes in shard order: the emitted sequence depends
+        // only on the inputs and K, never on worker interleaving. The
+        // first failing shard in shard order decides the Status, after
+        // the rows it streamed before failing.
+        ShardStream::Batch batch;
+        for (std::uint32_t s = 0; s < k && !failure.has_value(); ++s) {
+          while (stream.Next(s, &batch)) {
+            for (std::uint64_t r = 0; r < batch.rows; ++r) {
+              emit(std::span<const Value>(batch.values.data() + r * width,
+                                          width));
+            }
           }
-        };
-        emit_lifecycle(extmem::ObsEventKind::kShardStart, 0);
-        if (child != nullptr && child->PhaseCompleted("join")) {
-          // This shard finished in a prior attempt: zero-I/O resume —
-          // its rows come out of the child journal at the barrier.
-          run.rows = child->journal().rows();
-          run.outcome = core::AutoJoinReport{
-              "resume", "shard join already completed in manifest"};
-          emit_lifecycle(extmem::ObsEventKind::kShardFinish, 1);
-          return;
+          if (!runs[s].outcome->ok()) failure = runs[s].outcome->status();
         }
-        const std::vector<storage::Relation>& shard_rels = fragments[s];
-        const bool any_empty =
-            std::any_of(shard_rels.begin(), shard_rels.end(),
-                        [](const storage::Relation& r) { return r.empty(); });
-        if (any_empty) {
-          // An empty fragment empties the whole shard-local join; skip
-          // the operator instead of paying its fixed I/O for zero rows.
-          if (child != nullptr) child->MarkPhase("join");
-          run.outcome = core::AutoJoinReport{
-              "empty-shard", "an input fragment is empty on this shard"};
-          emit_lifecycle(extmem::ObsEventKind::kShardFinish, 1);
-          return;
-        }
-        const core::EmitFn buffer_emit = [&run](std::span<const Value> row) {
-          run.buffer.insert(run.buffer.end(), row.begin(), row.end());
-          ++run.rows;
-        };
-        // With a manifest, the shard journals every buffered row; rows a
-        // prior interrupted attempt already journaled are suppressed
-        // here and recovered from the journal at the barrier instead.
-        core::EmitFn shard_emit = buffer_emit;
-        if (child != nullptr) {
-          shard_emit = core::JournaledEmit(&child->journal(), buffer_emit);
-        }
-        // TryJoinAuto converts every failure into a Status internally,
-        // so no exception crosses the thread boundary.
-        run.outcome = core::TryJoinAuto(shard_rels, shard_emit);
-        if (child != nullptr && run.outcome->ok()) {
-          child->MarkPhase("join");
-          run.rows = child->journal().rows();
-        }
-        emit_lifecycle(extmem::ObsEventKind::kShardFinish,
-                       run.outcome->ok() ? 1 : 0);
-      });
+      }
+    } catch (...) {
+      thrown = std::current_exception();
     }
-    pool.Wait();
-  }
+    // Wake and release the workers of shards nobody will drain.
+    if (failure.has_value() || thrown != nullptr) stream.Abort();
+  }  // joins the pool: no worker outlives the call
+  if (thrown != nullptr) std::rethrow_exception(thrown);
+  if (failure.has_value()) return *std::move(failure);
+  report.peak_buffered_rows = stream.peak_rows();
 
-  // First failing shard (in shard order, not completion order) decides
-  // the query's Status; nothing has been emitted yet in that case.
-  for (std::uint32_t s = 0; s < k; ++s) {
-    if (!runs[s].outcome->ok()) return runs[s].outcome->status();
-  }
-
-  // Replay buffered output in shard order: the emitted sequence depends
-  // only on the inputs and K, never on worker interleaving.
   if (manifest != nullptr) {
     // Replay each shard's journal (prior-attempt rows plus this run's)
     // through the query-level watermark — the same shard-order fold as
@@ -223,17 +419,10 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
       children[s]->journal().ReplayInto(journaled);
     }
     manifest->MarkPhase("join");
-  } else {
-    const std::size_t width = core::MakeResultSchema(rels).attrs.size();
-    for (std::uint32_t s = 0; s < k; ++s) {
-      const std::vector<Value>& buf = runs[s].buffer;
-      for (std::size_t off = 0; off < buf.size(); off += width) {
-        emit(std::span<const Value>(buf.data() + off, width));
-      }
-    }
   }
 
-  // Merge shard observability into the source's sinks at the barrier.
+  // Every shard has finished: merge shard observability into the
+  // source's sinks.
   report.per_shard.reserve(k);
   for (std::uint32_t s = 0; s < k; ++s) {
     ShardReport sr;

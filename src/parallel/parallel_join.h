@@ -76,22 +76,41 @@ struct ParallelJoinReport {
   std::uint64_t max_shard_ios = 0;
   std::uint64_t sum_shard_ios = 0;
   extmem::FaultStats faults;
+  /// Most output rows queued at once in the hand-off from the shard
+  /// workers to the caller's thread (0 on the serial and manifest
+  /// paths). Host memory, like an EmitJournal: never charged to a
+  /// device's MemoryGauge. Backpressure keeps it at most workers *
+  /// kMaxQueuedBatches * kBatchRows (parallel_join.cc); each worker also
+  /// fills one batch in progress.
+  std::uint64_t peak_buffered_rows = 0;
 };
 
-/// Sharded top-level join. Hash-partitions `rels` per PlanShards, runs
-/// the existing JoinAuto dispatch shard-locally on a WorkerPool, and
-/// replays each shard's buffered output through `emit` in shard order at
-/// the barrier — so the emitted sequence is a pure function of the
-/// inputs and shard count, never of thread interleaving (pinned by the
-/// determinism tests at W in {1, 2, 8}).
+/// Sharded top-level join. Hash-partitions `rels` per PlanShards and runs
+/// the existing JoinAuto dispatch shard-locally on a WorkerPool.
 ///
-/// Observability merges at the barrier: if the source device has a
-/// Tracer attached, each shard runs under its own tracer whose spans are
-/// absorbed into the source's as a "shard" subtree; if `merged_metrics`
-/// is non-null, each shard collects into a private Registry merged in
-/// with a shard=<i> label. One shard's typed failure surfaces as the
-/// whole query's Status (first failing shard in shard order) and nothing
-/// is emitted.
+/// Without a manifest, each shard's rows stream to `emit` while shards
+/// still run: workers hand fixed-size row batches to the calling thread,
+/// which drains shard 0, then shard 1, and so on. `emit` runs only on the
+/// calling thread, and the emitted sequence is exactly shard order — a
+/// pure function of the inputs and shard count, never of thread
+/// interleaving (pinned by the determinism tests at W in {1, 2, 8}).
+/// Backpressure bounds the rows in flight (peak_buffered_rows): a shard
+/// ahead of the consumer blocks once its queue is full.
+///
+/// Observability merges once every shard has finished: if the source
+/// device has a Tracer attached, each shard runs under its own tracer
+/// whose spans are absorbed into the source's as a "shard" subtree; if
+/// `merged_metrics` is non-null, each shard collects into a private
+/// Registry merged in with a shard=<i> label.
+///
+/// One shard's typed failure surfaces as the whole query's Status (first
+/// failing shard in shard order). The rows emitted by then are a prefix
+/// of the fault-free sequence: every row of the shards before it, plus
+/// whatever the failing shard emitted before it failed — the TryJoinAuto
+/// contract. If `emit` throws, its exception propagates. Either way the
+/// later shards are abandoned and every worker is joined before the call
+/// returns. With a manifest, rows are journaled per shard and emitted at
+/// a barrier once every shard succeeded; a failed query emits nothing.
 [[nodiscard]] extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
     const ParallelOptions& options,

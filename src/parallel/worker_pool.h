@@ -20,7 +20,9 @@ namespace emjoin::parallel {
 /// workers touch must be shard-local by construction — its own Device,
 /// files, Tracer, Registry, and FaultInjector — so the pool needs no
 /// locking beyond its own queue and the merged results stay
-/// deterministic regardless of interleaving.
+/// deterministic regardless of interleaving. The one shared object, the
+/// sharded join's output hand-off, locks itself and relies on the FIFO
+/// dispatch order of Submit() to never block the shard it drains.
 ///
 /// Tasks must not let exceptions escape: shard tasks end in a typed
 /// Status via the Try* APIs, never an unwind across the thread boundary.

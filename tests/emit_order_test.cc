@@ -357,6 +357,41 @@ TEST(EmitOrderTest, NestedLoopWrapUnderEnforcedBudget) {
   EXPECT_GT(t.Counter("budget_replans"), 0u);
 }
 
+// Below M the wrap re-polls DegradedChunkCap per outer chunk and re-plans
+// a chunk whose inner join trips, as BlockNestedLoopJoin does. Chunk
+// sizes then depend on the limit, so the order may too, but every limit
+// down to the composition's floor yields exactly the unenforced run's
+// rows, each once. The floor is 4B + 3 = 19 tuples: Algorithm 4 keeps
+// three scan cursors (R3, S, T: one block each) open while its block
+// nested loop holds a chunk tuple and an inner block, and each of the two
+// wraps holds at least one outer tuple. Below it the run must end in a
+// typed budget error, never a crash.
+TEST(EmitOrderTest, NestedLoopWrapCompletesBelowM) {
+  constexpr TupleCount kFloor = 4 * 4 + 3;
+  extmem::Device free_dev(16, 4);
+  CollectingSink free_sink;
+  JoinAuto(CoverCaseL7(&free_dev), free_sink.AsEmitFn());
+  const auto expected = test::Sorted(std::move(free_sink.results()));
+  ASSERT_EQ(expected.size(), 2400u);
+  for (TupleCount limit = 12; limit <= 36; ++limit) {
+    extmem::Device dev(16, 4);
+    const auto l7 = CoverCaseL7(&dev);
+    dev.gauge().SetEnforcedLimit(limit);
+    CollectingSink sink;
+    const auto report = TryJoinAuto(l7, sink.AsEmitFn());
+    if (limit < kFloor) {
+      ASSERT_FALSE(report.ok()) << "limit " << limit;
+      EXPECT_EQ(report.status().code(), extmem::StatusCode::kBudgetExceeded);
+      continue;
+    }
+    ASSERT_TRUE(report.ok()) << "limit " << limit << ": "
+                             << report.status().ToString();
+    EXPECT_EQ(report->algorithm, "L7=NL(R1,R7, Alg4)");
+    EXPECT_EQ(test::Sorted(std::move(sink.results())), expected)
+        << "limit " << limit;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Yannakakis, Loomis-Whitney and the triangle.
 // ---------------------------------------------------------------------

@@ -3,12 +3,18 @@
 // the serial join), determinism (the emitted byte sequence and every
 // per-shard I/O count are pure functions of the inputs and K, never of
 // the worker count or thread interleaving), and containment (one
-// shard's typed failure surfaces as the whole query's Status, with
-// nothing emitted and independent, replayable per-shard fault seeds).
+// shard's typed failure surfaces as the whole query's Status, after a
+// prefix of the fault-free output, with independent, replayable
+// per-shard fault seeds). The streaming tests pin the ordered hand-off:
+// rows reach the caller's thread in shard order, in bounded batches.
 #include "parallel/parallel_join.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +38,29 @@ std::vector<storage::Relation> Line3Instance(extmem::Device* dev,
   opts.zipf_s = zipf_s;
   return workload::RandomInstance(dev, query::JoinQuery::Line(3),
                                   {300, 300, 300}, opts);
+}
+
+// Rows the hand-off lets one worker queue ahead of the consumer:
+// kMaxQueuedBatches * kBatchRows in parallel_join.cc.
+constexpr std::uint64_t kQueueCapRows = 4 * 1024;
+
+// An L3 large enough that every shard at K <= 8 streams more rows than
+// kQueueCapRows, so its worker fills several batches and meets
+// backpressure.
+std::vector<storage::Relation> StreamingInstance(extmem::Device* dev) {
+  workload::RandomOptions opts;
+  opts.seed = 11;
+  opts.domain_size = 40;
+  return workload::RandomInstance(dev, query::JoinQuery::Line(3),
+                                  {600, 600, 600}, opts);
+}
+
+std::vector<std::vector<Value>> SerialSorted(
+    const std::vector<storage::Relation>& rels) {
+  core::CollectingSink sink;
+  const auto report = core::TryJoinAuto(rels, sink.AsEmitFn());
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return test::Sorted(std::move(sink.results()));
 }
 
 // ---------------------------------------------------------------------
@@ -268,6 +297,159 @@ TEST(ParallelJoinTest, SingleShardIsBitIdenticalToSerialJoin) {
   EXPECT_EQ(sharded_sink.results(), serial_sink.results());
   EXPECT_EQ(sharded->auto_report.algorithm, serial_report->algorithm);
   EXPECT_EQ(sharded->results, serial_sink.results().size());
+}
+
+// ---------------------------------------------------------------------
+// TryParallelJoinAuto: the streamed hand-off.
+// ---------------------------------------------------------------------
+
+TEST(ParallelJoinTest, StreamedOutputIsIdenticalAcrossWorkerCounts) {
+  for (const std::uint32_t k : {4u, 8u}) {
+    std::vector<std::vector<std::vector<Value>>> sequences;
+    std::vector<std::vector<Value>> serial;
+    for (const std::uint32_t workers : {1u, 2u, 8u}) {
+      extmem::Device dev(256, 8);
+      const std::vector<storage::Relation> rels = StreamingInstance(&dev);
+      if (serial.empty()) serial = SerialSorted(rels);
+      core::CollectingSink sink;
+      ParallelOptions options;
+      options.shards = k;
+      options.workers = workers;
+      const auto result = TryParallelJoinAuto(rels, sink.AsEmitFn(), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (const ShardReport& shard : result->per_shard) {
+        ASSERT_GT(shard.results, kQueueCapRows) << "K=" << k;
+      }
+      EXPECT_GT(result->peak_buffered_rows, 0u);
+      sequences.push_back(std::move(sink.results()));  // exact order
+    }
+    for (std::size_t i = 1; i < sequences.size(); ++i) {
+      EXPECT_EQ(sequences[i], sequences[0]) << "K=" << k;
+    }
+    EXPECT_EQ(test::Sorted(std::move(sequences[0])), serial) << "K=" << k;
+  }
+}
+
+TEST(ParallelJoinTest, LaterShardFailureEmitsAPrefixAndItsStatus) {
+  // A kill switch at a fixed tick of each shard device's I/O clock only
+  // fires on shards whose fault-free run charges more I/Os than that. Put
+  // it above every shard's total but the largest, so exactly one shard f
+  // dies, after shards 0..f-1 have streamed everything.
+  const auto run = [](std::uint32_t workers, std::uint64_t kill_at,
+                      core::CollectingSink* sink) {
+    extmem::Device dev(256, 8);
+    const std::vector<storage::Relation> rels = StreamingInstance(&dev);
+    ParallelOptions options;
+    options.shards = 4;
+    options.workers = workers;
+    options.faults = true;
+    options.fault_config.kill_at_ios = kill_at;
+    return TryParallelJoinAuto(rels, sink->AsEmitFn(), options);
+  };
+  core::CollectingSink clean_sink;
+  const auto clean = run(2, std::uint64_t{1} << 40, &clean_sink);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const std::vector<std::vector<Value>>& full = clean_sink.results();
+
+  std::vector<std::uint64_t> totals;
+  for (const ShardReport& shard : clean->per_shard) {
+    totals.push_back(shard.io.total());
+  }
+  const auto f = static_cast<std::uint32_t>(
+      std::max_element(totals.begin(), totals.end()) - totals.begin());
+  std::vector<std::uint64_t> others = totals;
+  others.erase(others.begin() + f);
+  const std::uint64_t kill_at =
+      *std::max_element(others.begin(), others.end()) + 1;
+  ASSERT_GT(f, 0u) << "the instance must make a later shard the largest";
+  ASSERT_LT(kill_at, totals[f]);
+  ASSERT_GT(kill_at, clean->per_shard[f].tags.at("partition").total());
+  std::uint64_t before_f = 0;
+  for (std::uint32_t s = 0; s < f; ++s) before_f += clean->per_shard[s].results;
+
+  for (const std::uint32_t workers : {1u, 4u}) {
+    core::CollectingSink sink;
+    const auto failed = run(workers, kill_at, &sink);
+    ASSERT_FALSE(failed.ok()) << "W=" << workers;
+    EXPECT_EQ(failed.status().code(), extmem::StatusCode::kIoError);
+    EXPECT_NE(failed.status().message().find("killed"), std::string::npos)
+        << failed.status().ToString();
+    const std::vector<std::vector<Value>>& got = sink.results();
+    EXPECT_GE(got.size(), before_f) << "W=" << workers;
+    ASSERT_LE(got.size(), before_f + clean->per_shard[f].results);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), full.begin()))
+        << "W=" << workers << ": not a prefix of the fault-free sequence";
+  }
+}
+
+TEST(ParallelJoinTest, ConsumerExceptionPropagatesWithoutHanging) {
+  constexpr std::uint64_t kThrowAt = 3 * kQueueCapRows;
+  for (const std::uint32_t workers : {1u, 4u}) {
+    extmem::Device dev(256, 8);
+    const std::vector<storage::Relation> rels = StreamingInstance(&dev);
+    std::uint64_t seen = 0;
+    const core::EmitFn emit = [&seen](std::span<const Value>) {
+      if (++seen == kThrowAt) throw std::runtime_error("consumer gave up");
+    };
+    ParallelOptions options;
+    options.shards = 4;
+    options.workers = workers;
+    EXPECT_THROW(static_cast<void>(TryParallelJoinAuto(rels, emit, options)),
+                 std::runtime_error)
+        << "W=" << workers;
+    EXPECT_EQ(seen, kThrowAt);
+    // Nothing outlived the call: the same device runs a clean query.
+    core::CountingSink sink;
+    const auto again = TryParallelJoinAuto(rels, sink.AsEmitFn(), options);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_GT(again->results, kThrowAt);
+  }
+}
+
+TEST(ParallelJoinTest, EmitRunsOnTheCallingThread) {
+  extmem::Device dev(256, 8);
+  const std::vector<storage::Relation> rels = StreamingInstance(&dev);
+  const auto caller = std::this_thread::get_id();
+  std::uint64_t rows = 0;
+  std::uint64_t elsewhere = 0;
+  ParallelOptions options;
+  options.shards = 4;
+  options.workers = 4;
+  const auto result = TryParallelJoinAuto(
+      rels,
+      [&](std::span<const Value>) {
+        ++rows;
+        if (std::this_thread::get_id() != caller) ++elsewhere;
+      },
+      options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(rows, result->results);
+  EXPECT_EQ(elsewhere, 0u);
+}
+
+TEST(ParallelJoinTest, BufferedRowsStayBoundedBehindASlowConsumer) {
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    extmem::Device dev(256, 8);
+    const std::vector<storage::Relation> rels = StreamingInstance(&dev);
+    std::uint64_t rows = 0;
+    ParallelOptions options;
+    options.shards = 4;
+    options.workers = workers;
+    // Stalls once per kilo-row, so the workers run far ahead and block.
+    const auto result = TryParallelJoinAuto(
+        rels,
+        [&rows](std::span<const Value>) {
+          if (++rows % 1024 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          }
+        },
+        options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(rows, result->results);
+    EXPECT_GT(result->peak_buffered_rows, 0u);
+    EXPECT_LE(result->peak_buffered_rows, workers * kQueueCapRows)
+        << "W=" << workers;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -128,27 +128,10 @@ AutoJoinReport DispatchLine(const std::vector<Relation>& line,
   }
 
   if (n == 6) {
-    if (HasBalancedSplit(sizes)) {
-      return run_acyclic("L6 with a balanced split (Theorem 6)");
-    }
-    // §6.3: nested loop with an end relation as the outer and the
-    // unbalanced 5-relation prefix/suffix as the inner (Algorithm 4).
-    if (!BalancedInterval(sizes, 0, 4)) {
-      NestedLoopWrap(line[5], SharedAttr(line[4], line[5]), assignment, emit,
-                     [&](const EmitFn& inner) {
-                       LineJoinUnbalanced5UnderAssignment(
-                           line[0], line[1], line[2], line[3], line[4],
-                           assignment, inner);
-                     });
-      return {"L6=NL(R6, Alg4)", "unbalanced L6, prefix unbalanced"};
-    }
-    NestedLoopWrap(line[0], SharedAttr(line[0], line[1]), assignment, emit,
-                   [&](const EmitFn& inner) {
-                     LineJoinUnbalanced5UnderAssignment(
-                         line[1], line[2], line[3], line[4], line[5],
-                         assignment, inner);
-                   });
-    return {"L6=NL(R1, Alg4)", "unbalanced L6, suffix unbalanced"};
+    // §6.3's nested loop around Algorithm 4 never applies here: on a
+    // fully reduced instance the k = 3 split is always balanced, since
+    // each half is an L3 and reduction forces N2 <= N1 * N3 on it.
+    return run_acyclic("L6 with a balanced split (Theorem 6)");
   }
 
   if (n == 7) {

@@ -66,14 +66,6 @@ void EmitJournal::ReplayInto(const EmitFn& emit) const {
   }
 }
 
-void EmitJournal::MergeFrom(const EmitJournal& other) {
-  for (std::uint64_t i = 0; i < other.rows_; ++i) {
-    static_cast<void>(Record(std::span<const Value>(
-        other.data_.data() + static_cast<std::size_t>(i) * other.width_,
-        other.width_)));
-  }
-}
-
 void EmitJournal::Restore(std::uint32_t width, std::vector<Value> data) {
   assert(width == 0 || data.size() % width == 0);
   width_ = width;

@@ -117,13 +117,6 @@ class EmitJournal {
   /// sink sees the pre-crash prefix exactly as the first run produced it.
   void ReplayInto(const EmitFn& emit) const;
 
-  /// Folds `other`'s rows into this journal, preserving `other`'s
-  /// first-emission order for rows this journal has not seen (the same
-  /// discipline as metrics::Registry::MergeFrom: the receiver keeps its
-  /// own prefix, the donor appends). Used to merge per-shard journals in
-  /// shard order.
-  void MergeFrom(const EmitJournal& other);
-
   /// Serialization surface for QueryManifest: the flat row store in
   /// first-emission order.
   const std::vector<Value>& data() const { return data_; }

@@ -5,7 +5,10 @@
 #include <cstring>
 #include <utility>
 
+#include "extmem/device.h"
 #include "extmem/event_hook.h"
+#include "gens/psi.h"
+#include "query/hypergraph.h"
 
 namespace emjoin::obs {
 
@@ -27,6 +30,24 @@ const char* ShardStateName(int state) {
 }
 
 }  // namespace
+
+std::optional<long double> PlannedJoinIos(
+    const std::vector<storage::Relation>& rels, std::uint32_t shards) {
+  query::JoinQuery q;
+  for (const storage::Relation& r : rels) q.AddRelation(r.schema(), r.size());
+  if (!q.IsBergeAcyclic()) return std::nullopt;
+  const extmem::Device* dev = rels.front().device();
+  long double expected =
+      gens::PredictBoundWorstCase(q, dev->M(), dev->B()).bound;
+  if (shards > 1) {
+    std::uint64_t input_blocks = 0;
+    for (const storage::Relation& r : rels) {
+      input_blocks += (r.size() + dev->B() - 1) / dev->B();
+    }
+    expected += 2.0L * static_cast<long double>(input_blocks);
+  }
+  return expected;
+}
 
 std::string ProgressSnapshot::ToJson() const {
   std::string out = "{";

@@ -5,10 +5,12 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/thread_annotations.h"
+#include "storage/relation.h"
 
 namespace emjoin::obs {
 
@@ -21,6 +23,16 @@ struct PhasePlan {
   const char* name = "";
   long double expected_ios = 0.0L;
 };
+
+/// Predicted block I/O of a join query's one planned "join" phase: the
+/// Theorem 3 worst-case bound over (sizes, M, B) of the relations'
+/// device, plus, when shards > 1, the extra write+read pass that
+/// redistributes the inputs. The bound is a closed form — unlike
+/// PredictBoundExact it runs no counting oracles — so planning charges
+/// zero I/Os. nullopt when `rels` is not a Berge-acyclic query.
+/// `rels` must be non-empty.
+std::optional<long double> PlannedJoinIos(
+    const std::vector<storage::Relation>& rels, std::uint32_t shards);
 
 /// Live per-shard progress, included in ProgressSnapshot.
 struct ShardProgress {

@@ -27,8 +27,8 @@ namespace emjoin::parallel {
 namespace {
 
 // Span names are const char* literals everywhere else; shard roots are
-// the one dynamic case, so intern them. Called only at the merge
-// barrier, on the orchestrating thread.
+// the one dynamic case, so intern them. Called only once every shard
+// has finished, on the orchestrating thread.
 const char* InternShardName(std::uint32_t shard) {
   static std::set<std::string> names;
   return names.insert("shard " + std::to_string(shard)).first->c_str();
@@ -155,14 +155,14 @@ class ShardStream {
 
 // One shard's result: its row count and typed outcome. Only the shard's
 // worker writes these; the orchestrator reads them after the shard has
-// closed its lane (or, on the manifest path, after the pool's barrier).
+// closed its lane.
 struct ShardRun {
   std::uint64_t rows = 0;
   std::optional<extmem::Result<core::AutoJoinReport>> outcome;
 };
 
 // Hands the full `batch` to the consumer and starts a new one. Throws
-// once the stream is aborted; TryJoinAuto turns that into the shard's
+// once the stream is aborted; JoinShard turns that into the shard's
 // Status, which never decides the query's (an earlier shard or the
 // consumer did).
 void FlushBatch(std::uint32_t shard, std::size_t width, ShardStream* stream,
@@ -175,12 +175,41 @@ void FlushBatch(std::uint32_t shard, std::size_t width, ShardStream* stream,
   }
 }
 
+// Pushes one shard's rows in the order its fault-free run emits them.
+// With a child manifest, the rows an earlier attempt journaled come
+// first, replayed at zero device I/O; then, unless that attempt
+// finished the shard, the join re-runs through the child journal, which
+// suppresses the rows just replayed.
+extmem::Result<core::AutoJoinReport> JoinShard(
+    const std::vector<storage::Relation>& shard_rels,
+    recover::QueryManifest* child, const core::EmitFn& push) {
+  if (child != nullptr) {
+    extmem::Result<core::AutoJoinReport> replayed = extmem::CatchStatus([&] {
+      child->journal().ReplayInto(push);
+      return core::AutoJoinReport{"resume",
+                                  "shard join already completed in manifest"};
+    });
+    if (!replayed.ok() || child->PhaseCompleted("join")) return replayed;
+  }
+  if (std::any_of(shard_rels.begin(), shard_rels.end(),
+                  [](const storage::Relation& r) { return r.empty(); })) {
+    // An empty fragment empties the whole shard-local join; skip the
+    // operator instead of paying its fixed I/O for zero rows.
+    if (child != nullptr) child->MarkPhase("join");
+    return core::AutoJoinReport{"empty-shard",
+                                "an input fragment is empty on this shard"};
+  }
+  if (child == nullptr) return core::TryJoinAuto(shard_rels, push);
+  extmem::Result<core::AutoJoinReport> joined = core::TryJoinAuto(
+      shard_rels, core::JournaledEmit(&child->journal(), push));
+  if (joined.ok()) child->MarkPhase("join");
+  return joined;
+}
+
 // Shard `shard`'s task: the dispatcher over its fragments on its own
-// device. Without a manifest (`child` null) its rows stream through
-// `stream`, whose lane it closes last; with one they are journaled into
-// the child manifest, replayed at the barrier. TryJoinAuto converts
-// every failure into a Status, so no exception crosses the thread
-// boundary.
+// device, its rows streamed in batches through `stream`, whose lane it
+// closes last. Every failure becomes the shard's Status, so no
+// exception crosses the thread boundary.
 void RunShard(std::uint32_t shard, std::size_t width,
               const std::vector<storage::Relation>& shard_rels,
               extmem::Device* dev, recover::QueryManifest* child,
@@ -191,65 +220,31 @@ void RunShard(std::uint32_t shard, std::size_t width,
       sink->OnEvent(extmem::ObsEvent{kind, "shard", outcome});
     }
   };
-  const auto finish = [&](bool ok) {
-    lifecycle(extmem::ObsEventKind::kShardFinish, ok ? 1 : 0);
-    if (child == nullptr) stream->Close(shard);
-  };
   lifecycle(extmem::ObsEventKind::kShardStart, 0);
-  if (child == nullptr && stream->aborted()) {
+  if (stream->aborted()) {
     // An earlier shard failed or the consumer threw: skip the work.
     run->outcome = extmem::Status(extmem::StatusCode::kInternal,
                                   "shard skipped: output stream aborted");
-    finish(false);
-    return;
-  }
-  if (child != nullptr && child->PhaseCompleted("join")) {
-    // This shard finished in a prior attempt: zero-I/O resume — its rows
-    // come out of the child journal at the barrier.
-    run->rows = child->journal().rows();
-    run->outcome = core::AutoJoinReport{
-        "resume", "shard join already completed in manifest"};
-    finish(true);
-    return;
-  }
-  if (std::any_of(shard_rels.begin(), shard_rels.end(),
-                  [](const storage::Relation& r) { return r.empty(); })) {
-    // An empty fragment empties the whole shard-local join; skip the
-    // operator instead of paying its fixed I/O for zero rows.
-    if (child != nullptr) child->MarkPhase("join");
-    run->outcome = core::AutoJoinReport{
-        "empty-shard", "an input fragment is empty on this shard"};
-    finish(true);
-    return;
-  }
-  if (child != nullptr) {
-    // Rows a prior interrupted attempt already journaled are suppressed
-    // here and recovered from the journal at the barrier instead.
-    run->outcome = core::TryJoinAuto(
-        shard_rels, core::JournaledEmit(&child->journal(),
-                                        [](std::span<const Value>) {}));
-    if (run->outcome->ok()) {
-      child->MarkPhase("join");
-      run->rows = child->journal().rows();
+  } else {
+    ShardStream::Batch batch;
+    batch.values.reserve(kBatchRows * width);
+    const core::EmitFn push = [&](std::span<const Value> row) {
+      batch.values.insert(batch.values.end(), row.begin(), row.end());
+      ++run->rows;
+      if (++batch.rows == kBatchRows) {
+        FlushBatch(shard, width, stream, &batch);
+      }
+    };
+    run->outcome = JoinShard(shard_rels, child, push);
+    // The last partial batch goes out even after a failure: the consumer
+    // sees every row the shard emitted before failing, as in TryJoinAuto.
+    // A push into an aborted stream just drops it.
+    if (batch.rows > 0) {
+      static_cast<void>(stream->Push(shard, std::move(batch)));
     }
-    finish(run->outcome->ok());
-    return;
   }
-  ShardStream::Batch batch;
-  batch.values.reserve(kBatchRows * width);
-  run->outcome = core::TryJoinAuto(
-      shard_rels, [&](std::span<const Value> row) {
-        batch.values.insert(batch.values.end(), row.begin(), row.end());
-        ++run->rows;
-        if (++batch.rows == kBatchRows) {
-          FlushBatch(shard, width, stream, &batch);
-        }
-      });
-  // The last partial batch goes out even after a failure: the consumer
-  // sees every row the shard emitted before failing, as in TryJoinAuto.
-  // A push into an aborted stream just drops it.
-  if (batch.rows > 0) static_cast<void>(stream->Push(shard, std::move(batch)));
-  finish(run->outcome->ok());
+  lifecycle(extmem::ObsEventKind::kShardFinish, run->outcome->ok() ? 1 : 0);
+  stream->Close(shard);
 }
 
 }  // namespace
@@ -336,8 +331,8 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     if (src->events() != nullptr) {
       // Live telemetry: each shard device feeds the source's event sink
       // through a per-shard view that stamps the shard id on every
-      // callback. Unlike tracers/registries this is not merged at the
-      // barrier — the sink (obs::Telemetry) aggregates concurrently and
+      // callback. Unlike tracers/registries this is not merged after the
+      // run — the sink (obs::Telemetry) aggregates concurrently and
       // must therefore be thread-safe, per the device.h contract.
       dev->set_events(src->events()->ShardView(s));
     }
@@ -357,11 +352,15 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
       std::move(partitioned).value();
   report.partition_io = src->stats() - src_before;
 
-  // Without a manifest, each shard streams its rows through the hand-off
-  // and the orchestrator emits them in shard order while shards still
-  // run. With one, each shard journals its rows into its child manifest
-  // and the journals are replayed at the barrier, all or nothing.
+  // Each shard streams its rows through the hand-off and the
+  // orchestrator emits them in shard order while shards still run. With
+  // a manifest, emission goes through the query-level watermark, which
+  // suppresses every row an earlier attempt already delivered.
   const std::size_t width = core::MakeResultSchema(rels).attrs.size();
+  const core::EmitFn journaled =
+      manifest != nullptr ? core::JournaledEmit(&manifest->journal(), emit)
+                          : core::EmitFn();
+  const core::EmitFn& out = manifest != nullptr ? journaled : emit;
   std::vector<ShardRun> runs(k);
   ShardStream stream(k, report.workers);
   std::optional<extmem::Status> failure;
@@ -376,28 +375,19 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
                    &stream, &runs[s]);
         });
       }
-      if (manifest != nullptr) {
-        pool.Wait();
-        // First failing shard (in shard order, not completion order)
-        // decides the query's Status; nothing has been emitted then.
-        for (std::uint32_t s = 0; s < k && !failure.has_value(); ++s) {
-          if (!runs[s].outcome->ok()) failure = runs[s].outcome->status();
-        }
-      } else {
-        // Drain the lanes in shard order: the emitted sequence depends
-        // only on the inputs and K, never on worker interleaving. The
-        // first failing shard in shard order decides the Status, after
-        // the rows it streamed before failing.
-        ShardStream::Batch batch;
-        for (std::uint32_t s = 0; s < k && !failure.has_value(); ++s) {
-          while (stream.Next(s, &batch)) {
-            for (std::uint64_t r = 0; r < batch.rows; ++r) {
-              emit(std::span<const Value>(batch.values.data() + r * width,
-                                          width));
-            }
+      // Drain the lanes in shard order: the emitted sequence depends
+      // only on the inputs and K, never on worker interleaving. The
+      // first failing shard in shard order decides the Status, after
+      // the rows it streamed before failing.
+      ShardStream::Batch batch;
+      for (std::uint32_t s = 0; s < k && !failure.has_value(); ++s) {
+        while (stream.Next(s, &batch)) {
+          for (std::uint64_t r = 0; r < batch.rows; ++r) {
+            out(std::span<const Value>(batch.values.data() + r * width,
+                                       width));
           }
-          if (!runs[s].outcome->ok()) failure = runs[s].outcome->status();
         }
+        if (!runs[s].outcome->ok()) failure = runs[s].outcome->status();
       }
     } catch (...) {
       thrown = std::current_exception();
@@ -408,18 +398,7 @@ extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
   if (thrown != nullptr) std::rethrow_exception(thrown);
   if (failure.has_value()) return *std::move(failure);
   report.peak_buffered_rows = stream.peak_rows();
-
-  if (manifest != nullptr) {
-    // Replay each shard's journal (prior-attempt rows plus this run's)
-    // through the query-level watermark — the same shard-order fold as
-    // MergeShards(), deduplicated so a re-run never double-emits.
-    const core::EmitFn journaled =
-        core::JournaledEmit(&manifest->journal(), emit);
-    for (std::uint32_t s = 0; s < k; ++s) {
-      children[s]->journal().ReplayInto(journaled);
-    }
-    manifest->MarkPhase("join");
-  }
+  if (manifest != nullptr) manifest->MarkPhase("join");
 
   // Every shard has finished: merge shard observability into the
   // source's sinks.

@@ -35,12 +35,12 @@ struct ParallelOptions {
   bool faults = false;
   extmem::FaultConfig fault_config;
   /// Optional whole-query checkpoint. When set, every shard journals its
-  /// output into its own child manifest (`manifest->Shard(s)`) as it
-  /// runs; shards whose "join" phase is already completed in a loaded
-  /// manifest are skipped outright (their rows replay from the journal
-  /// with zero shard I/O), and the final emission is deduplicated
-  /// against the query-level watermark. K == 1 routes through
-  /// recover::TryResumableJoinAuto. Not owned; must outlive the call.
+  /// rows into its own child manifest (`manifest->Shard(s)`) as it runs,
+  /// and a resumed shard replays that journal before re-running (not at
+  /// all if its "join" phase completed). The caller's `emit` sees only
+  /// rows the query-level watermark has not delivered before. K == 1
+  /// routes through recover::TryResumableJoinAuto. Not owned; must
+  /// outlive the call.
   recover::QueryManifest* manifest = nullptr;
 };
 
@@ -77,25 +77,31 @@ struct ParallelJoinReport {
   std::uint64_t sum_shard_ios = 0;
   extmem::FaultStats faults;
   /// Most output rows queued at once in the hand-off from the shard
-  /// workers to the caller's thread (0 on the serial and manifest
-  /// paths). Host memory, like an EmitJournal: never charged to a
-  /// device's MemoryGauge. Backpressure keeps it at most workers *
-  /// kMaxQueuedBatches * kBatchRows (parallel_join.cc); each worker also
-  /// fills one batch in progress.
+  /// workers to the caller's thread (0 on the serial path). Host memory,
+  /// like an EmitJournal: never charged to a device's MemoryGauge.
+  /// Backpressure keeps it at most workers * kMaxQueuedBatches *
+  /// kBatchRows (parallel_join.cc); each worker also fills one batch in
+  /// progress.
   std::uint64_t peak_buffered_rows = 0;
 };
 
 /// Sharded top-level join. Hash-partitions `rels` per PlanShards and runs
 /// the existing JoinAuto dispatch shard-locally on a WorkerPool.
 ///
-/// Without a manifest, each shard's rows stream to `emit` while shards
-/// still run: workers hand fixed-size row batches to the calling thread,
-/// which drains shard 0, then shard 1, and so on. `emit` runs only on the
-/// calling thread, and the emitted sequence is exactly shard order — a
-/// pure function of the inputs and shard count, never of thread
-/// interleaving (pinned by the determinism tests at W in {1, 2, 8}).
-/// Backpressure bounds the rows in flight (peak_buffered_rows): a shard
-/// ahead of the consumer blocks once its queue is full.
+/// Each shard's rows stream to `emit` while shards still run: workers
+/// hand fixed-size row batches to the calling thread, which drains shard
+/// 0, then shard 1, and so on. `emit` runs only on the calling thread,
+/// and the emitted sequence is exactly shard order — a pure function of
+/// the inputs and shard count, never of thread interleaving (pinned by
+/// the determinism tests at W in {1, 2, 8}). Backpressure bounds the
+/// rows in flight (peak_buffered_rows): a shard ahead of the consumer
+/// blocks once its queue is full.
+///
+/// With a manifest, the same stream passes through the query-level
+/// watermark journal: every row reaching `emit` is journaled first, and
+/// rows an earlier attempt delivered are suppressed, so a resumed query
+/// delivers exactly the rest. Shards replay their child journals into
+/// the stream at zero device I/O and re-run only unfinished joins.
 ///
 /// Observability merges once every shard has finished: if the source
 /// device has a Tracer attached, each shard runs under its own tracer
@@ -107,10 +113,10 @@ struct ParallelJoinReport {
 /// failing shard in shard order). The rows emitted by then are a prefix
 /// of the fault-free sequence: every row of the shards before it, plus
 /// whatever the failing shard emitted before it failed — the TryJoinAuto
-/// contract. If `emit` throws, its exception propagates. Either way the
-/// later shards are abandoned and every worker is joined before the call
-/// returns. With a manifest, rows are journaled per shard and emitted at
-/// a barrier once every shard succeeded; a failed query emits nothing.
+/// contract, and with a manifest every one of them is in its journal.
+/// If `emit` throws, its exception propagates. Either way the later
+/// shards are abandoned and every worker is joined before the call
+/// returns.
 [[nodiscard]] extmem::Result<ParallelJoinReport> TryParallelJoinAuto(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
     const ParallelOptions& options,

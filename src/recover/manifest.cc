@@ -75,27 +75,10 @@ bool QueryManifest::PhaseCompleted(const std::string& name) const {
   return false;
 }
 
-extmem::SortManifest* QueryManifest::SortCheckpoint(const std::string& name) {
-  return &sort_checkpoints_[name];
-}
-
 QueryManifest& QueryManifest::Shard(std::uint32_t s) {
   if (s >= shards_.size()) shards_.resize(s + 1);
   if (!shards_[s]) shards_[s] = std::make_unique<QueryManifest>();
   return *shards_[s];
-}
-
-void QueryManifest::MergeShards() {
-  for (const std::unique_ptr<QueryManifest>& shard : shards_) {
-    if (shard) journal_.MergeFrom(shard->journal_);
-  }
-}
-
-void QueryManifest::MergeFrom(const QueryManifest& other) {
-  journal_.MergeFrom(other.journal_);
-  for (const PhaseRecord& p : other.phases_) {
-    if (p.completed) MarkPhase(p.name);
-  }
 }
 
 namespace {

@@ -4,17 +4,13 @@ namespace emjoin::recover {
 
 extmem::Result<ResumeReport> TryResumableJoinAuto(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
-    QueryManifest* manifest, const ResumeOptions& options) {
+    QueryManifest* manifest) {
   ResumeReport report;
   if (extmem::Status s = manifest->Bind(rels, /*shards=*/1); !s.ok()) {
     return s;
   }
   core::EmitJournal& journal = manifest->journal();
   report.watermark_rows = journal.rows();
-
-  if (options.replay_watermark) {
-    journal.ReplayInto(emit);
-  }
 
   if (manifest->PhaseCompleted("join")) {
     // Nothing to run: the interrupted attempt finished the join and the

@@ -12,16 +12,6 @@
 
 namespace emjoin::recover {
 
-struct ResumeOptions {
-  /// Re-deliver the watermark (rows the interrupted attempt already
-  /// emitted) into the sink before running. Off by default: the usual
-  /// consumer (CLI, soak harness) already received those rows from the
-  /// first attempt, and wants only the remainder — the union of both
-  /// attempts is then the exact uninterrupted output with zero
-  /// duplicates. Turn on for a fresh sink that needs the full set.
-  bool replay_watermark = false;
-};
-
 struct ResumeReport {
   /// Rows the manifest already held when this attempt started.
   std::uint64_t watermark_rows = 0;
@@ -42,10 +32,12 @@ struct ResumeReport {
 /// without re-running anything. The manifest is updated in place on
 /// BOTH success and failure; persisting it after a failed attempt
 /// (QueryManifest::WriteTo) is exactly what makes the next attempt a
-/// resume instead of a restart.
+/// resume instead of a restart. `emit` receives only this attempt's new
+/// rows; a sink that needs the full set replays manifest->journal()
+/// first (after Bind).
 [[nodiscard]] extmem::Result<ResumeReport> TryResumableJoinAuto(
     const std::vector<storage::Relation>& rels, const core::EmitFn& emit,
-    QueryManifest* manifest, const ResumeOptions& options = {});
+    QueryManifest* manifest);
 
 }  // namespace emjoin::recover
 

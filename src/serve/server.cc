@@ -1,17 +1,17 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "extmem/device.h"
-#include "gens/psi.h"
 #include "metrics/collect.h"
 #include "obs/build_info.h"
+#include "obs/progress.h"
 #include "parallel/parallel_join.h"
-#include "query/hypergraph.h"
-#include "recover/resume.h"
+#include "recover/manifest.h"
 #include "storage/csv.h"
 #include "trace/tracer.h"
 
@@ -583,25 +583,15 @@ extmem::Status Server::ExecuteAttempt(const QuerySpec& spec,
     }
   }
 
-  query::JoinQuery q;
-  for (const auto& r : rels) q.AddRelation(r.schema(), r.size());
-  if (!q.IsBergeAcyclic()) {
+  const std::optional<long double> expected =
+      obs::PlannedJoinIos(rels, spec.shards);
+  if (!expected.has_value()) {
     return extmem::Status(
         extmem::StatusCode::kInvalidInput,
         "query is not Berge-acyclic; the daemon serves acyclic joins");
   }
-  long double expected =
-      gens::PredictBoundWorstCase(q, device->M(), device->B()).bound;
-  if (spec.shards > 1) {
-    // Sharded runs pay one extra write+read pass to redistribute.
-    std::uint64_t input_blocks = 0;
-    for (const auto& r : rels) {
-      input_blocks += (r.size() + device->B() - 1) / device->B();
-    }
-    expected += 2.0L * static_cast<long double>(input_blocks);
-  }
-  session->SetBound(static_cast<double>(expected));
-  session->telemetry().tracker().SetPlan({{"join", expected}});
+  session->SetBound(static_cast<double>(*expected));
+  session->telemetry().tracker().SetPlan({{"join", *expected}});
 
   std::FILE* out = nullptr;
   if (!spec.output_path.empty()) {
@@ -629,29 +619,24 @@ extmem::Status Server::ExecuteAttempt(const QuerySpec& spec,
   extmem::Status status = extmem::Status::Ok();
   {
     trace::Span join_span(device, "join");
-    if (spec.shards > 1) {
-      parallel::ParallelOptions poptions;
-      poptions.shards = spec.shards;
-      poptions.workers = spec.workers;
-      poptions.faults = spec.fault_config.Active();
-      poptions.fault_config = spec.fault_config;
-      poptions.manifest = &session->manifest();
-      const auto report =
-          parallel::TryParallelJoinAuto(rels, emit, poptions, attempt_registry);
-      if (!report.ok()) {
-        status = report.status();
-      } else {
-        for (const parallel::ShardReport& sr : report->per_shard) {
-          *shard_io += sr.io;
-          *shard_faults = *shard_faults + sr.faults;
-        }
-      }
+    // Rows earlier attempts delivered are already in the output file
+    // and the manifest's watermark suppresses them: this attempt
+    // appends the remainder.
+    parallel::ParallelOptions poptions;
+    poptions.shards = spec.shards;
+    poptions.workers = spec.workers;
+    poptions.faults = spec.fault_config.Active();
+    poptions.fault_config = spec.fault_config;
+    poptions.manifest = &session->manifest();
+    const auto report =
+        parallel::TryParallelJoinAuto(rels, emit, poptions, attempt_registry);
+    if (!report.ok()) {
+      status = report.status();
     } else {
-      // replay_watermark stays off: rows earlier attempts delivered are
-      // already in the output file; this attempt appends the remainder.
-      const auto report = recover::TryResumableJoinAuto(
-          rels, emit, &session->manifest(), recover::ResumeOptions{});
-      if (!report.ok()) status = report.status();
+      for (const parallel::ShardReport& sr : report->per_shard) {
+        *shard_io += sr.io;
+        *shard_faults = *shard_faults + sr.faults;
+      }
     }
   }
   if (out != nullptr) std::fclose(out);

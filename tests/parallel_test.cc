@@ -6,7 +6,8 @@
 // shard's typed failure surfaces as the whole query's Status, after a
 // prefix of the fault-free output, with independent, replayable
 // per-shard fault seeds). The streaming tests pin the ordered hand-off:
-// rows reach the caller's thread in shard order, in bounded batches.
+// rows reach the caller's thread in shard order, in bounded batches,
+// and a manifest changes neither the sequence nor the failure prefix.
 #include "parallel/parallel_join.h"
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "metrics/registry.h"
 #include "parallel/shard_plan.h"
 #include "parallel/worker_pool.h"
+#include "recover/manifest.h"
 #include "tests/test_util.h"
 #include "trace/tracer.h"
 #include "workload/random_instance.h"
@@ -330,55 +332,150 @@ TEST(ParallelJoinTest, StreamedOutputIsIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(ParallelJoinTest, LaterShardFailureEmitsAPrefixAndItsStatus) {
-  // A kill switch at a fixed tick of each shard device's I/O clock only
-  // fires on shards whose fault-free run charges more I/Os than that. Put
-  // it above every shard's total but the largest, so exactly one shard f
-  // dies, after shards 0..f-1 have streamed everything.
-  const auto run = [](std::uint32_t workers, std::uint64_t kill_at,
-                      core::CollectingSink* sink) {
-    extmem::Device dev(256, 8);
-    const std::vector<storage::Relation> rels = StreamingInstance(&dev);
-    ParallelOptions options;
-    options.shards = 4;
-    options.workers = workers;
-    options.faults = true;
-    options.fault_config.kill_at_ios = kill_at;
-    return TryParallelJoinAuto(rels, sink->AsEmitFn(), options);
-  };
+TEST(ParallelJoinTest, FreshManifestStreamsTheSameSequenceAndJournalsIt) {
+  for (const std::uint32_t k : {4u, 8u}) {
+    for (const std::uint32_t workers : {1u, 2u, 8u}) {
+      extmem::Device dev(256, 8);
+      const std::vector<storage::Relation> rels = StreamingInstance(&dev);
+      ParallelOptions options;
+      options.shards = k;
+      options.workers = workers;
+      core::CollectingSink plain;
+      ASSERT_TRUE(TryParallelJoinAuto(rels, plain.AsEmitFn(), options).ok());
+
+      recover::QueryManifest manifest;
+      options.manifest = &manifest;
+      core::CollectingSink journaled;
+      const auto result =
+          TryParallelJoinAuto(rels, journaled.AsEmitFn(), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_GT(result->peak_buffered_rows, 0u);
+      EXPECT_EQ(journaled.results(), plain.results())
+          << "K=" << k << " W=" << workers;
+      core::CollectingSink replayed;
+      manifest.journal().ReplayInto(replayed.AsEmitFn());
+      EXPECT_EQ(replayed.results(), plain.results())
+          << "K=" << k << " W=" << workers;
+      EXPECT_TRUE(manifest.PhaseCompleted("join"));
+    }
+  }
+}
+
+// A kill switch at a fixed tick of each shard device's I/O clock only
+// fires on shards whose fault-free run charges more I/Os than that.
+// KillOneLaterShard puts it above every shard's total but the largest,
+// so exactly one shard dies, after the shards before it have streamed
+// everything.
+struct LaterShardKill {
+  std::uint64_t kill_at = 0;
+  std::uint32_t shard = 0;                  // the one that dies
+  std::uint64_t rows_before = 0;            // rows of shards 0..shard-1
+  std::uint64_t shard_rows = 0;             // the dying shard's rows
+  std::vector<std::vector<Value>> full;     // fault-free sequence
+};
+
+extmem::Result<ParallelJoinReport> RunStreamingKilled(
+    std::uint32_t workers, std::uint64_t kill_at,
+    recover::QueryManifest* manifest, core::CollectingSink* sink) {
+  extmem::Device dev(256, 8);
+  const std::vector<storage::Relation> rels = StreamingInstance(&dev);
+  ParallelOptions options;
+  options.shards = 4;
+  options.workers = workers;
+  options.faults = true;
+  options.fault_config.kill_at_ios = kill_at;
+  options.manifest = manifest;
+  return TryParallelJoinAuto(rels, sink->AsEmitFn(), options);
+}
+
+LaterShardKill KillOneLaterShard() {
+  LaterShardKill kill;
   core::CollectingSink clean_sink;
-  const auto clean = run(2, std::uint64_t{1} << 40, &clean_sink);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  const std::vector<std::vector<Value>>& full = clean_sink.results();
+  const auto clean =
+      RunStreamingKilled(2, std::uint64_t{1} << 40, nullptr, &clean_sink);
+  EXPECT_TRUE(clean.ok()) << clean.status().ToString();
+  if (!clean.ok()) return kill;
+  kill.full = std::move(clean_sink.results());
 
   std::vector<std::uint64_t> totals;
   for (const ShardReport& shard : clean->per_shard) {
     totals.push_back(shard.io.total());
   }
-  const auto f = static_cast<std::uint32_t>(
+  kill.shard = static_cast<std::uint32_t>(
       std::max_element(totals.begin(), totals.end()) - totals.begin());
   std::vector<std::uint64_t> others = totals;
-  others.erase(others.begin() + f);
-  const std::uint64_t kill_at =
-      *std::max_element(others.begin(), others.end()) + 1;
-  ASSERT_GT(f, 0u) << "the instance must make a later shard the largest";
-  ASSERT_LT(kill_at, totals[f]);
-  ASSERT_GT(kill_at, clean->per_shard[f].tags.at("partition").total());
-  std::uint64_t before_f = 0;
-  for (std::uint32_t s = 0; s < f; ++s) before_f += clean->per_shard[s].results;
+  others.erase(others.begin() + kill.shard);
+  kill.kill_at = *std::max_element(others.begin(), others.end()) + 1;
+  EXPECT_GT(kill.shard, 0u)
+      << "the instance must make a later shard the largest";
+  EXPECT_LT(kill.kill_at, totals[kill.shard]);
+  EXPECT_GT(kill.kill_at,
+            clean->per_shard[kill.shard].tags.at("partition").total());
+  for (std::uint32_t s = 0; s < kill.shard; ++s) {
+    kill.rows_before += clean->per_shard[s].results;
+  }
+  kill.shard_rows = clean->per_shard[kill.shard].results;
+  return kill;
+}
 
+TEST(ParallelJoinTest, LaterShardFailureEmitsAPrefixAndItsStatus) {
+  const LaterShardKill kill = KillOneLaterShard();
+  ASSERT_FALSE(kill.full.empty());
   for (const std::uint32_t workers : {1u, 4u}) {
     core::CollectingSink sink;
-    const auto failed = run(workers, kill_at, &sink);
+    const auto failed =
+        RunStreamingKilled(workers, kill.kill_at, nullptr, &sink);
     ASSERT_FALSE(failed.ok()) << "W=" << workers;
     EXPECT_EQ(failed.status().code(), extmem::StatusCode::kIoError);
     EXPECT_NE(failed.status().message().find("killed"), std::string::npos)
         << failed.status().ToString();
     const std::vector<std::vector<Value>>& got = sink.results();
-    EXPECT_GE(got.size(), before_f) << "W=" << workers;
-    ASSERT_LE(got.size(), before_f + clean->per_shard[f].results);
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), full.begin()))
+    EXPECT_GE(got.size(), kill.rows_before) << "W=" << workers;
+    ASSERT_LE(got.size(), kill.rows_before + kill.shard_rows);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), kill.full.begin()))
         << "W=" << workers << ": not a prefix of the fault-free sequence";
+  }
+}
+
+TEST(ParallelJoinTest, KilledManifestRunJournalsItsPrefixAndResumesTheRest) {
+  const LaterShardKill kill = KillOneLaterShard();
+  ASSERT_FALSE(kill.full.empty());
+  for (const std::uint32_t workers : {1u, 4u}) {
+    recover::QueryManifest manifest;
+    core::CollectingSink pre;
+    const auto failed =
+        RunStreamingKilled(workers, kill.kill_at, &manifest, &pre);
+    ASSERT_FALSE(failed.ok()) << "W=" << workers;
+    EXPECT_EQ(failed.status().code(), extmem::StatusCode::kIoError);
+    // The delivered rows are a prefix of the fault-free sequence, and
+    // the query journal holds exactly them.
+    EXPECT_GE(pre.results().size(), kill.rows_before) << "W=" << workers;
+    ASSERT_LE(pre.results().size(), kill.full.size());
+    EXPECT_TRUE(std::equal(pre.results().begin(), pre.results().end(),
+                           kill.full.begin()))
+        << "W=" << workers << ": not a prefix of the fault-free sequence";
+    core::CollectingSink journaled;
+    manifest.journal().ReplayInto(journaled.AsEmitFn());
+    EXPECT_EQ(journaled.results(), pre.results()) << "W=" << workers;
+    EXPECT_FALSE(manifest.PhaseCompleted("join"));
+
+    // The resume delivers exactly the rest, in order. Shards that
+    // finished before the kill replay their child journals and charge
+    // no I/O beyond receiving their fragments.
+    core::CollectingSink post;
+    const auto resumed = RunStreamingKilled(workers, std::uint64_t{1} << 40,
+                                            &manifest, &post);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    std::vector<std::vector<Value>> all = pre.results();
+    all.insert(all.end(), post.results().begin(), post.results().end());
+    EXPECT_EQ(all, kill.full) << "W=" << workers;
+    EXPECT_TRUE(manifest.PhaseCompleted("join"));
+    for (std::uint32_t s = 0; s < kill.shard; ++s) {
+      const ShardReport& shard = resumed->per_shard[s];
+      EXPECT_EQ(shard.report.algorithm, "resume") << "shard " << s;
+      EXPECT_EQ(shard.io.total(), shard.tags.at("partition").total())
+          << "shard " << s;
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the whole-query recovery layer: the EmitJournal output
-// watermark, QueryManifest persistence and shard merging, resumable
+// watermark, QueryManifest persistence and shard journals, resumable
 // joins (serial and sharded, including kill-and-resume soaking),
 // adaptive retry mode derivation, saturating FaultStats deltas, backoff
 // saturation, recovery metrics export, and graceful degradation of
@@ -80,20 +80,6 @@ TEST(EmitJournalTest, ReplayPreservesFirstEmissionOrder) {
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) reversed.Record(*it);
   EXPECT_EQ(reversed.rows(), j.rows());
   EXPECT_NE(reversed.hash(), j.hash());
-}
-
-TEST(EmitJournalTest, MergeFromKeepsReceiverPrefixAndAppendsDonor) {
-  EmitJournal a, b;
-  a.Record(Row{1});
-  a.Record(Row{2});
-  b.Record(Row{2});  // already in a: must not duplicate
-  b.Record(Row{3});
-  a.MergeFrom(b);
-
-  CollectingSink sink;
-  a.ReplayInto(sink.AsEmitFn());
-  const std::vector<Row> expect = {{1}, {2}, {3}};
-  EXPECT_EQ(sink.results(), expect);
 }
 
 TEST(EmitJournalTest, RestoreRoundTripsTheFlatRowStore) {
@@ -181,24 +167,6 @@ TEST(QueryManifestTest, ReadErrorsAreTypedNotFatal) {
   EXPECT_EQ(g.ReadFrom(path).code(), StatusCode::kInvalidInput);
 }
 
-TEST(QueryManifestTest, MergeShardsFoldsChildJournalsInShardOrder) {
-  QueryManifest m;
-  m.Shard(0).journal().Record(Row{1});
-  m.Shard(0).journal().Record(Row{2});
-  m.Shard(1).journal().Record(Row{2});  // overlap deduplicates
-  m.Shard(1).journal().Record(Row{3});
-  m.MergeShards();
-  EXPECT_EQ(m.journal().rows(), 3u);
-
-  m.MergeShards();  // idempotent
-  EXPECT_EQ(m.journal().rows(), 3u);
-
-  CollectingSink sink;
-  m.journal().ReplayInto(sink.AsEmitFn());
-  const std::vector<Row> expect = {{1}, {2}, {3}};
-  EXPECT_EQ(sink.results(), expect);
-}
-
 // ---------------------------------------------------------------------
 // Resumable joins
 // ---------------------------------------------------------------------
@@ -238,12 +206,10 @@ TEST(ResumeTest, CompletedManifestSkipsAllWorkAndReplaysOnRequest) {
   EXPECT_EQ(again.count(), 0u);
   EXPECT_EQ(dev.stats().total(), ios_before);  // zero device I/O
 
-  // A fresh sink asks for the watermark replay and gets the full set.
+  // A fresh sink replays the watermark first and gets the full set.
   CountingSink fresh;
-  recover::ResumeOptions opts;
-  opts.replay_watermark = true;
-  const auto rr =
-      recover::TryResumableJoinAuto(rels, fresh.AsEmitFn(), &m, opts);
+  m.journal().ReplayInto(fresh.AsEmitFn());
+  const auto rr = recover::TryResumableJoinAuto(rels, fresh.AsEmitFn(), &m);
   ASSERT_TRUE(rr.ok());
   EXPECT_TRUE(rr->already_complete);
   EXPECT_EQ(fresh.count(), 30u);
@@ -340,7 +306,8 @@ TEST(ResumeTest, ShardedManifestSkipsCompletedShardsOnResume) {
   }
 
   // Re-running with the completed manifest re-derives nothing: every
-  // shard skips, and the query journal suppresses the barrier replay.
+  // shard replays its child journal, and the query journal suppresses
+  // every replayed row.
   CollectingSink again;
   const auto rr =
       parallel::TryParallelJoinAuto(rels, again.AsEmitFn(), options);

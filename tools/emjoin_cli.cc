@@ -68,10 +68,10 @@
 #include "gens/gens.h"
 #include "gens/psi.h"
 #include "obs/front_end.h"
+#include "obs/progress.h"
 #include "parallel/parallel_join.h"
 #include "query/classify.h"
 #include "recover/manifest.h"
-#include "recover/resume.h"
 #include "storage/csv.h"
 #include "trace/tracer.h"
 #include "workload/constructions.h"
@@ -179,23 +179,8 @@ int CmdJoin(const CommonFlags& flags, obs::FrontEnd* observers) {
   if (rels.empty()) return FailUsage("no relations given");
 
   if (observers->telemetry_enabled()) {
-    // Phase plan for /progress: the Theorem 3 worst-case bound is a
-    // closed form over (sizes, M, B) — unlike PredictBoundExact it runs
-    // no counting oracles, so planning telemetry charges zero I/Os.
-    query::JoinQuery q;
-    for (const auto& r : rels) q.AddRelation(r.schema(), r.size());
-    if (q.IsBergeAcyclic()) {
-      long double expected =
-          gens::PredictBoundWorstCase(q, dev.M(), dev.B()).bound;
-      if (flags.run.shards > 1) {
-        // Sharded runs pay one extra write+read pass to redistribute.
-        std::uint64_t input_blocks = 0;
-        for (const auto& r : rels) {
-          input_blocks += (r.size() + dev.B() - 1) / dev.B();
-        }
-        expected += 2.0L * static_cast<long double>(input_blocks);
-      }
-      observers->telemetry().tracker().SetPlan({{"join", expected}});
+    if (const auto expected = obs::PlannedJoinIos(rels, flags.run.shards)) {
+      observers->telemetry().tracker().SetPlan({{"join", *expected}});
     }
   }
 
@@ -207,9 +192,10 @@ int CmdJoin(const CommonFlags& flags, obs::FrontEnd* observers) {
   std::printf("\n");
 
   // Whole-query resume: load the manifest if it exists (a missing file
-  // just means a fresh run) and persist it after the join on every exit
-  // path — success or typed failure — so the next invocation with the
-  // same --resume picks up exactly where this one stopped.
+  // just means a fresh run), bind it to this query before any of its
+  // rows are printed, and persist it after the join on every exit path —
+  // success or typed failure — so the next invocation with the same
+  // --resume picks up exactly where this one stopped.
   recover::QueryManifest manifest;
   const bool resuming = !flags.resume_path.empty();
   if (resuming) {
@@ -223,6 +209,10 @@ int CmdJoin(const CommonFlags& flags, obs::FrontEnd* observers) {
     }
     if (flags.algo == "yann") {
       return FailUsage("--resume requires --algo auto");
+    }
+    if (const extmem::Status bound = manifest.Bind(rels, flags.run.shards);
+        !bound.ok()) {
+      return Fail(bound);
     }
   }
 
@@ -250,14 +240,13 @@ int CmdJoin(const CommonFlags& flags, obs::FrontEnd* observers) {
       const auto report = core::TryYannakakisJoin(rels, emit);
       if (!report.ok()) return Fail(report.status());
       std::printf("algorithm: Yannakakis (baseline)\n");
-    } else if (flags.run.shards > 1) {
+    } else {
       parallel::ParallelOptions poptions = flags.run;
       if (resuming) {
         poptions.manifest = &manifest;
-        // A loaded manifest whose query completed replays nothing at
-        // the shard barrier (every row is already in the query-level
-        // journal), so deliver the journal up front; an interrupted
-        // manifest has an empty query journal and this emits nothing.
+        // The CLI's output is the terminal sink: print the rows earlier
+        // attempts delivered, then this attempt's remainder, so the
+        // printed output is the full result set.
         manifest.journal().ReplayInto(emit);
       }
       const auto report = parallel::TryParallelJoinAuto(
@@ -268,12 +257,14 @@ int CmdJoin(const CommonFlags& flags, obs::FrontEnd* observers) {
         std::printf("algorithm: %s (%s)\n",
                     report->auto_report.algorithm.c_str(),
                     report->auto_report.reason.c_str());
-        std::printf("shards:    %u x %s, %u workers; critical path %llu "
-                    "I/Os, total %llu\n",
-                    report->shards, names[report->partition_attr].c_str(),
-                    report->workers,
-                    (unsigned long long)report->max_shard_ios,
-                    (unsigned long long)report->sum_shard_ios);
+        if (report->sharded) {
+          std::printf("shards:    %u x %s, %u workers; critical path %llu "
+                      "I/Os, total %llu\n",
+                      report->shards, names[report->partition_attr].c_str(),
+                      report->workers,
+                      (unsigned long long)report->max_shard_ios,
+                      (unsigned long long)report->sum_shard_ios);
+        }
         if (flags.stats) {
           for (std::size_t s = 0; s < report->per_shard.size(); ++s) {
             const parallel::ShardReport& sr = report->per_shard[s];
@@ -286,28 +277,6 @@ int CmdJoin(const CommonFlags& flags, obs::FrontEnd* observers) {
           }
         }
       }
-    } else if (resuming) {
-      recover::ResumeOptions ropts;
-      // The CLI's output is the terminal sink, so a resumed run replays
-      // the watermark too — the printed output is the full result set.
-      ropts.replay_watermark = true;
-      const auto report =
-          recover::TryResumableJoinAuto(rels, emit, &manifest, ropts);
-      if (!report.ok()) {
-        join_status = report.status();
-      } else {
-        std::printf("algorithm: %s (%s)\n", report->join.algorithm.c_str(),
-                    report->join.reason.c_str());
-        std::printf("resume:    %llu rows replayed from watermark, %llu "
-                    "new\n",
-                    (unsigned long long)report->watermark_rows,
-                    (unsigned long long)report->emitted_rows);
-      }
-    } else {
-      const auto report = core::TryJoinAuto(rels, emit);
-      if (!report.ok()) return Fail(report.status());
-      std::printf("algorithm: %s (%s)\n", report->algorithm.c_str(),
-                  report->reason.c_str());
     }
   }
   if (resuming) {
